@@ -311,10 +311,14 @@ fn main() {
     // checkpointing off, checkpointing on, and a kill-and-resume where a
     // worker dies at superstep 1 and the fleet rolls back — timed against
     // each other, with bit-identity to the in-process run asserted in-bench.
+    // The reference is the *sequential* in-process run: distributed runs
+    // reproduce its push order, while the default level-parallel run
+    // interleaves fragment ids across threads on a multi-core host.
     let rmat_assignment = LdgPartitioner::new(8).partition(&rmat);
     let in_proc_reference = EulerPipeline::builder()
         .graph(&rmat)
         .assignment(rmat_assignment.clone())
+        .sequential()
         .build()
         .unwrap()
         .run()
@@ -406,10 +410,14 @@ fn main() {
                  validity over the full edge multiset is asserted in-bench. \
                  The fault_tolerance section times the distributed wire-transport path with \
                  checkpointing off, on, and through a kill-and-resume recovery, asserting \
-                 bit-identity to the in-process run in all three.",
+                 bit-identity to the sequential in-process run in all three.",
             ),
         ),
         ("repetitions", Value::Num(reps as f64)),
+        (
+            "host_available_parallelism",
+            Value::Num(std::thread::available_parallelism().map_or(1, |n| n.get()) as f64),
+        ),
         ("results", Value::Arr(rows)),
         ("out_of_core", out_of_core),
         ("w_streaming", w_streaming),

@@ -1,8 +1,8 @@
 //! Versioned, checksummed checkpoint files for superstep state.
 //!
-//! A checkpoint is a flat sequence of u64 words inside a small versioned
-//! container, written atomically (temp file + rename) so a crash mid-write
-//! never leaves a file that restores:
+//! A checkpoint is a payload of little-endian u64 words inside a small
+//! versioned container, written atomically (temp file + rename) so a crash
+//! mid-write never leaves a file that restores:
 //!
 //! ```text
 //! word 0  magic   0x45434B50_54303141  ("ECKPT01A")
@@ -16,11 +16,11 @@
 //! version, truncated payload, or checksum mismatch yields a typed
 //! [`CheckpointError`] — the caller treats the file as absent rather than
 //! trusting it. The payload layout is the caller's business; this module
-//! only guarantees "either the exact words written, or a typed refusal".
+//! only guarantees "either the exact payload written, or a typed refusal".
 
 use std::fmt;
 use std::fs;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Container magic ("ECKPT01A" squeezed into a u64).
@@ -73,10 +73,10 @@ impl From<std::io::Error> for CheckpointError {
 }
 
 /// Word-folded FNV-1a (the same fold the CSR file format uses).
-fn fnv1a_words(words: &[u64]) -> u64 {
+fn fnv1a_words(words: &[[u8; 8]]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &w in words {
-        h ^= w;
+    for w in words {
+        h ^= u64::from_le_bytes(*w);
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
@@ -88,36 +88,42 @@ pub fn checkpoint_file(dir: &Path, worker: u32, superstep: u32) -> PathBuf {
     dir.join(format!("ckpt-w{worker}-s{superstep}.bin"))
 }
 
-/// Atomically writes `words` to `path` (temp file in the same directory,
+/// Atomically writes the word payload `payload` (a whole number of
+/// little-endian u64 words) to `path` (temp file in the same directory,
 /// then rename). Returns the total Longs written including the container
 /// header.
-pub fn write_checkpoint(path: &Path, words: &[u64]) -> Result<u64, CheckpointError> {
+pub fn write_checkpoint(path: &Path, payload: &[u8]) -> Result<u64, CheckpointError> {
+    let (words, []) = payload.as_chunks::<8>() else {
+        return Err(CheckpointError::Io(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "checkpoint payload is not word-aligned",
+        )));
+    };
     if let Some(dir) = path.parent() {
         fs::create_dir_all(dir)?;
     }
     let tmp = path.with_extension("tmp");
     {
         let mut f = fs::File::create(&tmp)?;
-        let mut buf = Vec::with_capacity(8 * (4 + words.len()));
+        let mut header = Vec::with_capacity(32);
         for w in
             [CHECKPOINT_MAGIC, CHECKPOINT_VERSION, words.len() as u64, fnv1a_words(words)]
         {
-            buf.extend_from_slice(&w.to_le_bytes());
+            header.extend_from_slice(&w.to_le_bytes());
         }
-        for w in words {
-            buf.extend_from_slice(&w.to_le_bytes());
-        }
-        f.write_all(&buf)?;
+        f.write_all(&header)?;
+        f.write_all(payload)?;
         f.sync_all().ok();
     }
     fs::rename(&tmp, path)?;
     Ok(4 + words.len() as u64)
 }
 
-/// Reads and fully validates a checkpoint, returning its payload words.
-pub fn read_checkpoint(path: &Path) -> Result<Vec<u64>, CheckpointError> {
-    let mut bytes = Vec::new();
-    fs::File::open(path)?.read_to_end(&mut bytes)?;
+/// Reads and fully validates a checkpoint, returning its payload. The only
+/// buffer is the file's own: the payload is validated where it lies and
+/// the header shifted off.
+pub fn read_checkpoint(path: &Path) -> Result<Vec<u8>, CheckpointError> {
+    let mut bytes = fs::read(path)?;
     if bytes.len() < 32 {
         return Err(CheckpointError::Truncated);
     }
@@ -141,19 +147,22 @@ pub fn read_checkpoint(path: &Path) -> Result<Vec<u64>, CheckpointError> {
     // size computation (a debug-build panic is still a panic).
     let need =
         len.checked_add(4).and_then(|n| n.checked_mul(8)).ok_or(CheckpointError::Truncated)?;
-    if bytes.len() < need {
-        return Err(CheckpointError::Truncated);
-    }
-    let words: Vec<u64> = (0..len).map(|i| word(4 + i)).collect::<Result<_, _>>()?;
-    if fnv1a_words(&words) != word(3)? {
+    let payload = bytes.get(32..need).ok_or(CheckpointError::Truncated)?;
+    if fnv1a_words(payload.as_chunks::<8>().0) != word(3)? {
         return Err(CheckpointError::ChecksumMismatch);
     }
-    Ok(words)
+    bytes.truncate(need);
+    bytes.drain(..32);
+    Ok(bytes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn payload(words: &[u64]) -> Vec<u8> {
+        words.iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("euler-ckpt-test-{}-{tag}", std::process::id()));
@@ -166,9 +175,10 @@ mod tests {
         let dir = temp_dir("roundtrip");
         let path = checkpoint_file(&dir, 3, 7);
         let words: Vec<u64> = (0..1000).map(|i| i * 31 + 7).collect();
-        let longs = write_checkpoint(&path, &words).unwrap();
+        let longs = write_checkpoint(&path, &payload(&words)).unwrap();
         assert_eq!(longs, 4 + 1000);
-        assert_eq!(read_checkpoint(&path).unwrap(), words);
+        assert_eq!(read_checkpoint(&path).unwrap(), payload(&words));
+        assert!(write_checkpoint(&path, &[1, 2, 3]).is_err(), "a misaligned payload is refused");
         assert!(path.file_name().unwrap().to_str().unwrap().contains("w3-s7"));
         fs::remove_dir_all(&dir).ok();
     }
@@ -196,7 +206,7 @@ mod tests {
     fn torn_write_is_detected_and_refused() {
         let dir = temp_dir("torn");
         let path = checkpoint_file(&dir, 1, 1);
-        write_checkpoint(&path, &[1, 2, 3, 4, 5]).unwrap();
+        write_checkpoint(&path, &payload(&[1, 2, 3, 4, 5])).unwrap();
         // Simulate a torn write: chop the file mid-payload.
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() - 12]).unwrap();
@@ -208,7 +218,7 @@ mod tests {
     fn wrong_version_tag_is_refused() {
         let dir = temp_dir("version");
         let path = checkpoint_file(&dir, 1, 2);
-        write_checkpoint(&path, &[9, 9, 9]).unwrap();
+        write_checkpoint(&path, &payload(&[9, 9, 9])).unwrap();
         let mut bytes = fs::read(&path).unwrap();
         bytes[8..16].copy_from_slice(&99u64.to_le_bytes());
         fs::write(&path, &bytes).unwrap();
@@ -223,7 +233,7 @@ mod tests {
     fn flipped_payload_bit_is_refused() {
         let dir = temp_dir("corrupt");
         let path = checkpoint_file(&dir, 1, 3);
-        write_checkpoint(&path, &[10, 20, 30]).unwrap();
+        write_checkpoint(&path, &payload(&[10, 20, 30])).unwrap();
         let mut bytes = fs::read(&path).unwrap();
         let n = bytes.len();
         bytes[n - 1] ^= 0x80;
@@ -247,9 +257,9 @@ mod tests {
     fn overwrite_is_atomic_replacement() {
         let dir = temp_dir("atomic");
         let path = checkpoint_file(&dir, 0, 1);
-        write_checkpoint(&path, &[1]).unwrap();
-        write_checkpoint(&path, &[2, 3]).unwrap();
-        assert_eq!(read_checkpoint(&path).unwrap(), vec![2, 3]);
+        write_checkpoint(&path, &payload(&[1])).unwrap();
+        write_checkpoint(&path, &payload(&[2, 3])).unwrap();
+        assert_eq!(read_checkpoint(&path).unwrap(), payload(&[2, 3]));
         assert!(!path.with_extension("tmp").exists(), "temp file must not linger");
         fs::remove_dir_all(&dir).ok();
     }

@@ -53,8 +53,8 @@ pub use message::{Envelope, WorkerId};
 pub use program::{PartitionContext, PartitionProgram, VertexContext, VertexProgram};
 pub use stats::{EngineStats, SuperstepStats};
 pub use transport::{
-    connect_endpoint, connect_with_retry, FrameError, MemTransport, TcpTransport, Transport,
-    UnixTransport,
+    connect_endpoint, connect_with_retry, FrameError, MemTransport, PayloadError, TcpTransport,
+    Transport, UnixTransport, WordReader, WordWriter,
 };
 pub use vertex::{run_vertex_program, VertexEngineConfig, VertexEngineStats};
 pub use worker::PartitionPlacement;

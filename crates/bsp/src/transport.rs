@@ -11,22 +11,56 @@
 //!   offline-shim constraint), the path worker *processes* connect over.
 //! * [`UnixTransport`] — Unix-domain sockets in a private temp directory.
 //!
-//! Every frame on a socket transport is length-prefixed and checksummed:
+//! Every frame, on every transport, is length-prefixed and checksummed:
 //!
 //! ```text
 //! magic   u32  0x45_55_4C_52 ("EULR")
-//! version u16  FRAME_VERSION
+//! version u16  FRAME_VERSION (2)
 //! kind    u16  message discriminant (opaque to this layer)
 //! len     u32  payload bytes (<= MAX_FRAME_BYTES)
-//! check   u64  FNV-1a over kind, len and payload
+//! check   u64  frame_checksum(kind, len, payload)
 //! payload [u8; len]
 //! ```
 //!
 //! Decoding garbage yields a typed [`FrameError`] — bad magic, foreign
 //! version, truncated header/payload, oversized length (rejected **before**
 //! any allocation), checksum mismatch — never a panic and never an
-//! over-allocation. The in-memory transport carries the same frames through
-//! the same codec, so both impls share one hardening test surface.
+//! over-allocation. The in-memory transport carries the same header and
+//! checksum through the same validation, so every impl shares one hardening
+//! test surface.
+//!
+//! ## The v2 frame checksum
+//!
+//! [`frame_checksum`] folds the payload a little-endian `u64` word at a
+//! time into four independent lanes (word `i` feeds lane `i mod 4`), with
+//! one step per word:
+//!
+//! ```text
+//! lane = rotl((lane ^ w) * FNV_PRIME, 29)
+//! ```
+//!
+//! `kind` and `len` (as one word), then the four lanes, then the `len mod 8`
+//! tail bytes (one byte per step) are folded the same way into the result.
+//! Each step is a bijection in the accumulator (for a fixed word) *and* in
+//! the word (for a fixed accumulator): xor, multiplication by the odd FNV
+//! prime and a rotation are all invertible. So two payloads that differ in
+//! exactly one whole word or one tail byte — and therefore any single
+//! corrupted byte — always fold to different checksums, as does any change
+//! of `kind` or `len` alone. The rotation is what keeps paired flips apart: without
+//! it, a flip of bit 63 survives the multiply as exactly a flip of bit 63,
+//! and a second bit-63 flip in the next word of the same lane cancels it.
+//! The four lanes have no dependency on each other, so the fold runs at
+//! word speed instead of one multiply per byte (version 1 was byte-serial
+//! FNV-1a).
+//!
+//! ## Copy budget
+//!
+//! A protocol payload is encoded once, straight into a byte buffer through
+//! [`WordWriter`]; [`Connection::send`] copies it once into the frame; the
+//! receiver verifies the frame where it lies — the in-memory transport
+//! hands the sent buffer over without a further copy — and the protocol
+//! decodes the payload in place through a [`WordReader`]. That is one
+//! encode, one frame copy and one decode per payload per hop.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -41,7 +75,7 @@ use std::time::{Duration, Instant};
 /// Frame magic: `"EULR"` as a big-endian u32.
 pub const FRAME_MAGIC: u32 = 0x4555_4C52;
 /// Current frame-format version.
-pub const FRAME_VERSION: u16 = 1;
+pub const FRAME_VERSION: u16 = 2;
 /// Upper bound on a frame payload. A length field above this is rejected as
 /// [`FrameError::LengthOverflow`] before any buffer is allocated.
 pub const MAX_FRAME_BYTES: u32 = 1 << 30;
@@ -115,41 +149,85 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
-/// FNV-1a over a byte slice — the frame payload checksum.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_with(0xcbf2_9ce4_8422_2325, bytes)
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+/// Initial states of the four checksum lanes.
+const LANE_SEEDS: [u64; 4] = [
+    FNV_OFFSET,
+    FNV_OFFSET ^ 0x9e37_79b9_7f4a_7c15,
+    FNV_OFFSET ^ 0xc2b2_ae3d_27d4_eb4f,
+    FNV_OFFSET ^ 0x1656_67b1_9e37_79f9,
+];
+/// Rotation of one fold step; any amount other than 0 (mod 64) keeps
+/// paired bit-63 flips from cancelling.
+const FOLD_ROTATE: u32 = 29;
+
+/// One fold step: a bijection in `acc` for fixed `w`, and in `w` for fixed
+/// `acc`.
+#[inline(always)]
+fn fold(acc: u64, w: u64) -> u64 {
+    (acc ^ w).wrapping_mul(FNV_PRIME).rotate_left(FOLD_ROTATE)
 }
 
-/// FNV-1a continued from a prior digest, for chaining over several slices.
-fn fnv1a_with(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = seed;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
+/// The v2 frame checksum over `kind`, `len` and the payload: a four-lane
+/// word fold (see the module docs for the definition and what it is
+/// guaranteed to catch).
+pub fn frame_checksum(kind: u16, len: u32, payload: &[u8]) -> u64 {
+    let (words, tail) = payload.as_chunks::<8>();
+    let (quads, rest) = words.as_chunks::<4>();
+    let [mut a, mut b, mut c, mut d] = LANE_SEEDS;
+    for [w0, w1, w2, w3] in quads {
+        a = fold(a, u64::from_le_bytes(*w0));
+        b = fold(b, u64::from_le_bytes(*w1));
+        c = fold(c, u64::from_le_bytes(*w2));
+        d = fold(d, u64::from_le_bytes(*w3));
+    }
+    // The last 0–3 whole words continue lanes a, b, c in order.
+    let mut rest = rest.iter().map(|w| u64::from_le_bytes(*w));
+    if let Some(w) = rest.next() {
+        a = fold(a, w);
+    }
+    if let Some(w) = rest.next() {
+        b = fold(b, w);
+    }
+    if let Some(w) = rest.next() {
+        c = fold(c, w);
+    }
+    let mut h = fold(FNV_OFFSET, (u64::from(kind) << 32) | u64::from(len));
+    for lane in [a, b, c, d] {
+        h = fold(h, lane);
+    }
+    for &byte in tail {
+        h = fold(h, u64::from(byte));
     }
     h
 }
 
-/// The frame checksum: FNV-1a chained over the kind, the declared length and
-/// the payload, so a flipped bit anywhere past the version field is caught
-/// (a corrupted `kind` would otherwise decode fine and misroute the frame).
-fn frame_checksum(kind: u16, len: u32, payload: &[u8]) -> u64 {
-    let mut h = fnv1a_with(0xcbf2_9ce4_8422_2325, &kind.to_le_bytes());
-    h = fnv1a_with(h, &len.to_le_bytes());
-    fnv1a_with(h, payload)
+/// Encodes the fixed frame header for `payload` under `kind`.
+fn encode_header(kind: u16, payload: &[u8]) -> Result<[u8; FRAME_HEADER_BYTES], FrameError> {
+    let len = u32::try_from(payload.len())
+        .ok()
+        .filter(|&len| len <= MAX_FRAME_BYTES)
+        .ok_or(FrameError::LengthOverflow { declared: payload.len() as u64 })?;
+    let mut header = [0u8; FRAME_HEADER_BYTES];
+    let fields = FRAME_MAGIC
+        .to_le_bytes()
+        .into_iter()
+        .chain(FRAME_VERSION.to_le_bytes())
+        .chain(kind.to_le_bytes())
+        .chain(len.to_le_bytes())
+        .chain(frame_checksum(kind, len, payload).to_le_bytes());
+    for (slot, byte) in header.iter_mut().zip(fields) {
+        *slot = byte;
+    }
+    Ok(header)
 }
 
 /// Encodes one frame (header + payload) into a byte vector.
 pub fn encode_frame(kind: u16, payload: &[u8]) -> Result<Vec<u8>, FrameError> {
-    if payload.len() as u64 > MAX_FRAME_BYTES as u64 {
-        return Err(FrameError::LengthOverflow { declared: payload.len() as u64 });
-    }
+    let header = encode_header(kind, payload)?;
     let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
-    out.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-    out.extend_from_slice(&FRAME_VERSION.to_le_bytes());
-    out.extend_from_slice(&kind.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&frame_checksum(kind, payload.len() as u32, payload).to_le_bytes());
+    out.extend_from_slice(&header);
     out.extend_from_slice(payload);
     Ok(out)
 }
@@ -164,9 +242,16 @@ fn le_field<const N: usize>(bytes: &[u8], at: usize) -> Result<[u8; N], FrameErr
         .ok_or(FrameError::Truncated { expected: at.saturating_add(N), got: bytes.len() })
 }
 
-/// Decodes one frame from the front of `bytes`, returning
-/// `(kind, payload, consumed)`.
-pub fn decode_frame(bytes: &[u8]) -> Result<(u16, Vec<u8>, usize), FrameError> {
+/// The validated fields of a frame header.
+struct Header {
+    kind: u16,
+    len: u32,
+    check: u64,
+}
+
+/// Validates magic, version and length of a frame header (the checksum is
+/// verified once the payload is at hand).
+fn decode_header(bytes: &[u8]) -> Result<Header, FrameError> {
     if bytes.len() < FRAME_HEADER_BYTES {
         return Err(FrameError::Truncated { expected: FRAME_HEADER_BYTES, got: bytes.len() });
     }
@@ -184,43 +269,48 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(u16, Vec<u8>, usize), FrameError> {
         return Err(FrameError::LengthOverflow { declared: len as u64 });
     }
     let check = u64::from_le_bytes(le_field(bytes, 12)?);
-    let total = FRAME_HEADER_BYTES + len as usize;
+    Ok(Header { kind, len, check })
+}
+
+impl Header {
+    /// Verifies `payload` against the header's length and checksum.
+    fn verify(&self, payload: &[u8]) -> Result<(), FrameError> {
+        if payload.len() != self.len as usize {
+            return Err(FrameError::Truncated {
+                expected: FRAME_HEADER_BYTES + self.len as usize,
+                got: FRAME_HEADER_BYTES + payload.len(),
+            });
+        }
+        if frame_checksum(self.kind, self.len, payload) != self.check {
+            return Err(FrameError::ChecksumMismatch);
+        }
+        Ok(())
+    }
+}
+
+/// Decodes one frame from the front of `bytes`, returning
+/// `(kind, payload, consumed)`.
+pub fn decode_frame(bytes: &[u8]) -> Result<(u16, Vec<u8>, usize), FrameError> {
+    let header = decode_header(bytes)?;
+    let total = FRAME_HEADER_BYTES + header.len as usize;
     let payload = bytes
         .get(FRAME_HEADER_BYTES..total)
-        .ok_or(FrameError::Truncated { expected: total, got: bytes.len() })?
-        .to_vec();
-    if frame_checksum(kind, len, &payload) != check {
-        return Err(FrameError::ChecksumMismatch);
-    }
-    Ok((kind, payload, total))
+        .ok_or(FrameError::Truncated { expected: total, got: bytes.len() })?;
+    header.verify(payload)?;
+    Ok((header.kind, payload.to_vec(), total))
 }
 
 /// Reads one frame from a blocking stream. Returns [`FrameError::Closed`]
 /// when the peer hangs up exactly at a frame boundary, `Truncated` when it
 /// hangs up mid-frame, and `Timeout` when the stream's read timeout fires.
 fn read_frame_stream(r: &mut impl Read) -> Result<(u16, Vec<u8>), FrameError> {
-    let mut header = [0u8; FRAME_HEADER_BYTES];
-    read_exact_or(r, &mut header, true)?;
-    let magic = u32::from_le_bytes(le_field(&header, 0)?);
-    if magic != FRAME_MAGIC {
-        return Err(FrameError::BadMagic { found: magic });
-    }
-    let version = u16::from_le_bytes(le_field(&header, 4)?);
-    if version != FRAME_VERSION {
-        return Err(FrameError::UnsupportedVersion { found: version });
-    }
-    let kind = u16::from_le_bytes(le_field(&header, 6)?);
-    let len = u32::from_le_bytes(le_field(&header, 8)?);
-    if len > MAX_FRAME_BYTES {
-        return Err(FrameError::LengthOverflow { declared: len as u64 });
-    }
-    let check = u64::from_le_bytes(le_field(&header, 12)?);
-    let mut payload = vec![0u8; len as usize];
+    let mut bytes = [0u8; FRAME_HEADER_BYTES];
+    read_exact_or(r, &mut bytes, true)?;
+    let header = decode_header(&bytes)?;
+    let mut payload = vec![0u8; header.len as usize];
     read_exact_or(r, &mut payload, false)?;
-    if frame_checksum(kind, len, &payload) != check {
-        return Err(FrameError::ChecksumMismatch);
-    }
-    Ok((kind, payload))
+    header.verify(&payload)?;
+    Ok((header.kind, payload))
 }
 
 /// `read_exact` with typed errors: EOF at offset 0 of the header is a clean
@@ -249,6 +339,208 @@ fn read_exact_or(r: &mut impl Read, buf: &mut [u8], eof_is_close: bool) -> Resul
         }
     }
     Ok(())
+}
+
+// ---------------------------------------------------------------------------
+// Word payloads.
+// ---------------------------------------------------------------------------
+
+/// Why a word payload did not decode. Protocol decoders built on
+/// [`WordReader`] surface these (or their own typed refusals) — never a
+/// panic.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum PayloadError {
+    /// The payload is not a whole number of words.
+    Misaligned {
+        /// The payload length in bytes.
+        len: usize,
+    },
+    /// The payload ended before a read it declared.
+    Truncated {
+        /// Word index of the failed read.
+        at: usize,
+        /// Words the read needed.
+        need: usize,
+    },
+    /// Words were left over after the decoder read everything it declared.
+    Trailing {
+        /// How many.
+        words: usize,
+    },
+    /// A string field is not UTF-8.
+    BadUtf8,
+}
+
+impl fmt::Display for PayloadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PayloadError::Misaligned { len } => {
+                write!(f, "payload length {len} is not word-aligned")
+            }
+            PayloadError::Truncated { at, need } => {
+                write!(f, "payload truncated: need {need} words at word {at}")
+            }
+            PayloadError::Trailing { words } => write!(f, "payload has {words} trailing words"),
+            PayloadError::BadUtf8 => write!(f, "bad utf8 in payload string"),
+        }
+    }
+}
+
+impl std::error::Error for PayloadError {}
+
+impl From<PayloadError> for String {
+    fn from(e: PayloadError) -> String {
+        e.to_string()
+    }
+}
+
+/// The encode side of the word-array payloads the protocols over this
+/// transport speak: little-endian `u64` words appended straight to the byte
+/// buffer a frame is sent from, so a payload is encoded exactly once.
+pub trait WordWriter {
+    /// Appends one word.
+    fn put_word(&mut self, w: u64);
+    /// Appends a run of words.
+    fn put_words(&mut self, ws: &[u64]);
+    /// Appends a string as `[byte length, bytes zero-padded to whole words]`.
+    fn put_str(&mut self, s: &str);
+    /// Opens a length-prefixed block: writes a placeholder word and returns
+    /// its position for [`end_block`](Self::end_block).
+    fn begin_block(&mut self) -> usize;
+    /// Closes the block opened at `at`: its placeholder becomes the number
+    /// of words written since, which is what [`WordReader::block`] reads.
+    fn end_block(&mut self, at: usize);
+}
+
+impl WordWriter for Vec<u8> {
+    #[inline]
+    fn put_word(&mut self, w: u64) {
+        self.extend_from_slice(&w.to_le_bytes());
+    }
+
+    #[inline]
+    fn put_words(&mut self, ws: &[u64]) {
+        let at = self.len();
+        self.resize(at + 8 * ws.len(), 0);
+        if let Some(tail) = self.get_mut(at..) {
+            for (dst, w) in tail.chunks_exact_mut(8).zip(ws) {
+                dst.copy_from_slice(&w.to_le_bytes());
+            }
+        }
+    }
+
+    fn put_str(&mut self, s: &str) {
+        let bytes = s.as_bytes();
+        self.put_word(bytes.len() as u64);
+        self.extend_from_slice(bytes);
+        let padded = self.len() + bytes.len().next_multiple_of(8) - bytes.len();
+        self.resize(padded, 0);
+    }
+
+    fn begin_block(&mut self) -> usize {
+        let at = self.len();
+        self.put_word(0);
+        at
+    }
+
+    fn end_block(&mut self, at: usize) {
+        let words = (self.len().saturating_sub(at + 8) / 8) as u64;
+        if let Some(slot) = self.get_mut(at..at + 8) {
+            slot.copy_from_slice(&words.to_le_bytes());
+        }
+    }
+}
+
+/// A word payload holding exactly `words` — the small fixed messages.
+pub fn word_payload(words: &[u64]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(8 * words.len());
+    out.put_words(words);
+    out
+}
+
+/// The decode side: a bounded sequential reader over a word payload, read
+/// in place. Every read is checked, so a truncated, misaligned or hostile
+/// payload is a typed [`PayloadError`], never a panic; and
+/// [`cap`](Self::cap) clamps any wire-declared count to what the rest of
+/// the payload could hold, so `Vec::with_capacity` on garbage is bounded by
+/// the payload's own length.
+#[derive(Clone, Debug)]
+pub struct WordReader<'a> {
+    words: &'a [[u8; 8]],
+    at: usize,
+}
+
+impl<'a> WordReader<'a> {
+    /// A reader over `payload`, which must be a whole number of words.
+    pub fn new(payload: &'a [u8]) -> Result<Self, PayloadError> {
+        match payload.as_chunks::<8>() {
+            (words, []) => Ok(WordReader { words, at: 0 }),
+            _ => Err(PayloadError::Misaligned { len: payload.len() }),
+        }
+    }
+
+    /// Reads the next word.
+    #[inline]
+    pub fn word(&mut self) -> Result<u64, PayloadError> {
+        let w = self.words.get(self.at).ok_or(PayloadError::Truncated { at: self.at, need: 1 })?;
+        self.at += 1;
+        Ok(u64::from_le_bytes(*w))
+    }
+
+    /// Takes the next `n` words as raw little-endian words (decode each
+    /// with `u64::from_le_bytes`).
+    pub fn words(&mut self, n: usize) -> Result<&'a [[u8; 8]], PayloadError> {
+        let s = self
+            .at
+            .checked_add(n)
+            .and_then(|end| self.words.get(self.at..end))
+            .ok_or(PayloadError::Truncated { at: self.at, need: n })?;
+        self.at += n;
+        Ok(s)
+    }
+
+    /// Takes the next `n` words as a nested word payload.
+    fn take(&mut self, n: usize) -> Result<&'a [u8], PayloadError> {
+        self.words(n).map(<[[u8; 8]]>::as_flattened)
+    }
+
+    /// Reads a length-prefixed block written by
+    /// [`WordWriter::begin_block`]/[`end_block`](WordWriter::end_block).
+    pub fn block(&mut self) -> Result<&'a [u8], PayloadError> {
+        let n = self.word()?;
+        self.take(usize::try_from(n).unwrap_or(usize::MAX))
+    }
+
+    /// Reads a string written by [`WordWriter::put_str`].
+    pub fn str(&mut self) -> Result<String, PayloadError> {
+        let len = usize::try_from(self.word()?).unwrap_or(usize::MAX);
+        let bytes = self.take(len.div_ceil(8))?;
+        let text = bytes.get(..len).ok_or(PayloadError::BadUtf8)?;
+        String::from_utf8(text.to_vec()).map_err(|_| PayloadError::BadUtf8)
+    }
+
+    /// Clamps a wire-declared count of items, each at least `min_words`
+    /// long on the wire, to as many as the words left could hold. A vector
+    /// sized by it never regrows while its items decode, and never reserves
+    /// more than the payload's own length times the ratio of an item's
+    /// decoded size to `8 * min_words` — a garbage count cannot size it.
+    pub fn cap(&self, n: usize, min_words: usize) -> usize {
+        n.min(self.remaining() / min_words.max(1))
+    }
+
+    /// Words not yet read.
+    fn remaining(&self) -> usize {
+        self.words.len().saturating_sub(self.at)
+    }
+
+    /// Refuses trailing words: a payload must be exactly what its decoder
+    /// read.
+    pub fn finish(&self) -> Result<(), PayloadError> {
+        match self.remaining() {
+            0 => Ok(()),
+            extra => Err(PayloadError::Trailing { words: extra }),
+        }
+    }
 }
 
 /// Locks a mutex, tolerating poisoning. A panic on some other thread must
@@ -360,9 +652,10 @@ pub fn connect_endpoint(
 // In-memory transport.
 // ---------------------------------------------------------------------------
 
-/// One direction of an in-memory connection: frames as encoded byte vectors
-/// (the same codec as the socket paths, so corruption tests cover both).
-type MemFrame = Vec<u8>;
+/// One direction of an in-memory connection: a frame's encoded header and
+/// its payload buffer, validated by the receiver exactly as a socket frame
+/// is (so corruption tests cover both), without re-copying the payload.
+type MemFrame = ([u8; FRAME_HEADER_BYTES], Vec<u8>);
 /// A connect request: the dialing side's two channel halves.
 type MemDial = (mpsc::Sender<MemFrame>, mpsc::Receiver<MemFrame>);
 
@@ -403,7 +696,7 @@ struct MemConnection {
 
 impl Connection for MemConnection {
     fn send(&self, kind: u16, payload: &[u8]) -> Result<(), FrameError> {
-        let frame = encode_frame(kind, payload)?;
+        let frame = (encode_header(kind, payload)?, payload.to_vec());
         let guard = lock_unpoisoned(&self.tx);
         match guard.as_ref() {
             Some(tx) => tx.send(frame).map_err(|_| FrameError::Closed),
@@ -420,8 +713,10 @@ impl Connection for MemConnection {
                 mpsc::RecvTimeoutError::Disconnected => FrameError::Closed,
             })?,
         };
-        let (kind, payload, _) = decode_frame(&frame)?;
-        Ok((kind, payload))
+        let (header, payload) = frame;
+        let header = decode_header(&header)?;
+        header.verify(&payload)?;
+        Ok((header.kind, payload))
     }
 }
 
@@ -796,6 +1091,100 @@ mod tests {
         let last = frame.len() - 1;
         frame[last] ^= 0x01;
         assert_eq!(decode_frame(&frame), Err(FrameError::ChecksumMismatch));
+    }
+
+    #[test]
+    fn paired_bit63_flips_in_one_lane_are_detected() {
+        // Words 0 and 4 both feed lane 0. Without the rotation a bit-63
+        // flip survives `(lane ^ w) * FNV_PRIME` as exactly a bit-63 flip,
+        // and the second flip cancels it: a plain xor-multiply fold misses
+        // this corruption.
+        let payload: Vec<u8> = (0u8..64).collect();
+        let mut frame = encode_frame(3, &payload).unwrap();
+        for word in [0, 4] {
+            frame[FRAME_HEADER_BYTES + 8 * word + 7] ^= 0x80;
+        }
+        assert_eq!(decode_frame(&frame), Err(FrameError::ChecksumMismatch));
+    }
+
+    #[test]
+    fn corrupted_kind_or_len_is_detected() {
+        let payload = b"twenty-four payload byte".to_vec();
+        let check = frame_checksum(5, payload.len() as u32, &payload);
+        for bit in 0..16 {
+            assert_ne!(frame_checksum(5 ^ (1 << bit), payload.len() as u32, &payload), check);
+        }
+        for bit in 0..32 {
+            assert_ne!(frame_checksum(5, payload.len() as u32 ^ (1 << bit), &payload), check);
+        }
+        // In a frame: a flipped kind bit is a mismatch; a shorter declared
+        // length reads a prefix that no longer matches either.
+        let frame = encode_frame(5, &payload).unwrap();
+        let mut bad_kind = frame.clone();
+        bad_kind[6] ^= 0x01;
+        assert_eq!(decode_frame(&bad_kind), Err(FrameError::ChecksumMismatch));
+        let mut short = frame.clone();
+        short[8..12].copy_from_slice(&(payload.len() as u32 - 1).to_le_bytes());
+        assert_eq!(decode_frame(&short), Err(FrameError::ChecksumMismatch));
+    }
+
+    #[test]
+    fn every_payload_length_up_to_40_roundtrips_and_catches_every_byte_flip() {
+        // 0–40 bytes cover whole-quad, 1–3 leftover words and every tail
+        // length 0–7.
+        for len in 0..=40usize {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 37 + len) as u8).collect();
+            let frame = encode_frame(9, &payload).unwrap();
+            let (kind, got, consumed) = decode_frame(&frame).unwrap();
+            assert_eq!((kind, got.as_slice(), consumed), (9, payload.as_slice(), frame.len()));
+            for pos in FRAME_HEADER_BYTES..frame.len() {
+                for flip in [0x01u8, 0x80, 0xFF] {
+                    let mut bad = frame.clone();
+                    bad[pos] ^= flip;
+                    assert_eq!(
+                        decode_frame(&bad),
+                        Err(FrameError::ChecksumMismatch),
+                        "len {len}: flip {flip:#x} at payload byte {} undetected",
+                        pos - FRAME_HEADER_BYTES
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn word_payloads_roundtrip_through_writer_and_reader() {
+        let mut out = Vec::new();
+        out.put_words(&[1, u64::MAX]);
+        out.put_str("héllo, frames");
+        let at = out.begin_block();
+        out.put_words(&[7, 8, 9]);
+        out.end_block(at);
+        out.put_word(42);
+        let mut r = WordReader::new(&out).unwrap();
+        assert_eq!((r.word(), r.word()), (Ok(1), Ok(u64::MAX)));
+        assert_eq!(r.str().as_deref(), Ok("héllo, frames"));
+        assert_eq!(r.block(), Ok(word_payload(&[7, 8, 9]).as_slice()));
+        assert_eq!(r.word(), Ok(42));
+        assert_eq!(r.finish(), Ok(()));
+        assert_eq!(r.word(), Err(PayloadError::Truncated { at: 10, need: 1 }));
+    }
+
+    #[test]
+    fn word_reader_refuses_garbage_with_typed_errors() {
+        assert_eq!(WordReader::new(&[0; 9]).err(), Some(PayloadError::Misaligned { len: 9 }));
+        let payload = word_payload(&[u64::MAX, 3]);
+        let mut r = WordReader::new(&payload).unwrap();
+        assert!(matches!(r.block(), Err(PayloadError::Truncated { .. })));
+        let mut r = WordReader::new(&payload).unwrap();
+        assert!(matches!(r.words(usize::MAX), Err(PayloadError::Truncated { .. })));
+        assert_eq!(r.finish(), Err(PayloadError::Trailing { words: 2 }));
+        // A hostile count never sizes a reservation past the payload.
+        assert_eq!(r.cap(usize::MAX, 1), 2);
+        assert_eq!(r.cap(usize::MAX, 4), 0);
+        assert_eq!(r.cap(1, 0), 1);
+        let bad_utf8 = word_payload(&[2, 0xFFFF]);
+        assert_eq!(WordReader::new(&bad_utf8).unwrap().str(), Err(PayloadError::BadUtf8));
     }
 
     fn exercise_transport(t: &dyn Transport) {

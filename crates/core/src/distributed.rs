@@ -51,7 +51,9 @@
 //! falls back to a full deterministic replay from the level-0 seed.
 
 use crate::error::EulerError;
-use crate::fragment::{decode_fragment, encode_fragment, Fragment, FragmentId, FragmentStore};
+use crate::fragment::{
+    decode_fragment, encode_fragment_remapped, Fragment, FragmentId, FragmentStore,
+};
 use crate::merge_strategy::MergeStrategy;
 use crate::merge_tree::{MergePair, MergeTree};
 use crate::phase1::{Parallelism, Phase1Executor};
@@ -65,11 +67,14 @@ use euler_bsp::checkpoint::{
     checkpoint_file, read_checkpoint, write_checkpoint, CheckpointError,
 };
 use euler_bsp::fault::{FaultPlan, FaultPolicy, KillMode, RecoveryStats};
-use euler_bsp::transport::{connect_endpoint, Connection, FrameError, Listener, Transport};
+use euler_bsp::transport::{
+    connect_endpoint, word_payload, Connection, FrameError, Listener, Transport, WordReader,
+    WordWriter,
+};
 use euler_bsp::{EngineStats, SuperstepStats};
 use euler_graph::PartitionId;
 use euler_metrics::TimeBreakdown;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -106,6 +111,11 @@ fn remap(id: FragmentId, superstep: u32, slot: u32) -> FragmentId {
 // ---------------------------------------------------------------------------
 // Word-level protocol codec.
 // ---------------------------------------------------------------------------
+//
+// Every payload is a little-endian u64 word array, encoded straight into the
+// bytes a frame is sent from ([`WordWriter`]) and decoded in place
+// ([`WordReader`]); nested partition states and fragment records are
+// length-prefixed blocks inside it.
 
 mod kind {
     pub const HELLO: u16 = 1;
@@ -121,115 +131,41 @@ mod kind {
     pub const BYE: u16 = 11;
 }
 
-fn words_to_bytes(words: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 * words.len());
-    for w in words {
-        out.extend_from_slice(&w.to_le_bytes());
+/// The words of a small fixed message (Hello, Ready, Restore and its
+/// answers), which must hold exactly `N`.
+fn read_words<const N: usize>(payload: &[u8]) -> Result<[u64; N], String> {
+    let mut r = WordReader::new(payload)?;
+    let mut out = [0u64; N];
+    for slot in &mut out {
+        *slot = r.word()?;
     }
-    out
+    r.finish()?;
+    Ok(out)
 }
 
-fn bytes_to_words(bytes: &[u8]) -> Result<Vec<u64>, String> {
-    if !bytes.len().is_multiple_of(8) {
-        return Err(format!("payload length {} is not word-aligned", bytes.len()));
-    }
-    Ok(bytes
-        .chunks_exact(8)
-        .filter_map(|c| c.try_into().ok().map(u64::from_le_bytes))
-        .collect())
-}
-
-/// Bounded sequential reader over a word payload with typed failures —
-/// malformed protocol payloads surface as errors, never as panics.
-struct Cursor<'a> {
-    words: &'a [u64],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(words: &'a [u64]) -> Self {
-        Cursor { words, at: 0 }
-    }
-
-    fn u(&mut self) -> Result<u64, String> {
-        let v = self
-            .words
-            .get(self.at)
-            .copied()
-            .ok_or_else(|| format!("protocol payload truncated at word {}", self.at))?;
-        self.at += 1;
-        Ok(v)
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u64], String> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&e| e <= self.words.len())
-            .ok_or_else(|| format!("protocol payload truncated: need {n} words at {}", self.at))?;
-        let s = self
-            .words
-            .get(self.at..end)
-            .ok_or_else(|| format!("protocol payload truncated: need {n} words at {}", self.at))?;
-        self.at = end;
-        Ok(s)
-    }
-
-    /// Clamps a wire-declared element count to what the remaining payload
-    /// could possibly hold, so `Vec::with_capacity` on garbage input cannot
-    /// over-allocate or overflow — decoding then fails with a typed
-    /// truncation error instead.
-    fn cap(&self, n: usize) -> usize {
-        n.min(self.words.len().saturating_sub(self.at))
-    }
-}
-
-fn push_str(out: &mut Vec<u64>, s: &str) {
-    let bytes = s.as_bytes();
-    out.push(bytes.len() as u64);
-    for chunk in bytes.chunks(8) {
-        let mut w = [0u8; 8];
-        w[..chunk.len()].copy_from_slice(chunk);
-        out.push(u64::from_le_bytes(w));
-    }
-}
-
-fn read_str(c: &mut Cursor<'_>) -> Result<String, String> {
-    let n = c.u()? as usize;
-    let words = c.take(n.div_ceil(8))?;
-    let mut bytes = Vec::with_capacity(n);
-    for w in words {
-        bytes.extend_from_slice(&w.to_le_bytes());
-    }
-    bytes.truncate(n);
-    String::from_utf8(bytes).map_err(|e| format!("bad utf8 in protocol string: {e}"))
-}
-
-fn encode_tree(out: &mut Vec<u64>, tree: &MergeTree) {
-    out.push(tree.levels.len() as u64);
+fn encode_tree(out: &mut Vec<u8>, tree: &MergeTree) {
+    out.put_word(tree.levels.len() as u64);
     for level in &tree.levels {
-        out.push(level.len() as u64);
+        out.put_word(level.len() as u64);
         for p in level {
-            out.extend_from_slice(&[p.parent.0 as u64, p.child.0 as u64, p.weight]);
+            out.put_words(&[p.parent.0 as u64, p.child.0 as u64, p.weight]);
         }
     }
-    out.push(tree.root.0 as u64);
-    out.push(tree.leaves.len() as u64);
+    out.put_word(tree.root.0 as u64);
+    out.put_word(tree.leaves.len() as u64);
     for l in &tree.leaves {
-        out.push(l.0 as u64);
+        out.put_word(l.0 as u64);
     }
 }
 
-fn decode_tree(c: &mut Cursor<'_>) -> Result<MergeTree, String> {
-    let n_levels = c.u()? as usize;
-    let mut levels = Vec::with_capacity(c.cap(n_levels));
+fn decode_tree(r: &mut WordReader<'_>) -> Result<MergeTree, String> {
+    let n_levels = r.word()? as usize;
+    let mut levels = Vec::with_capacity(r.cap(n_levels, 1));
     for _ in 0..n_levels {
-        let n_pairs = c.u()? as usize;
-        let mut pairs = Vec::with_capacity(c.cap(n_pairs));
+        let n_pairs = r.word()? as usize;
+        let mut pairs = Vec::with_capacity(r.cap(n_pairs, 3));
         for _ in 0..n_pairs {
-            let &[parent, child, weight] = c.take(3)? else {
-                return Err("merge pair: expected 3 words".into());
-            };
+            let [parent, child, weight] = [r.word()?, r.word()?, r.word()?];
             pairs.push(MergePair {
                 parent: PartitionId(parent as u32),
                 child: PartitionId(child as u32),
@@ -238,13 +174,15 @@ fn decode_tree(c: &mut Cursor<'_>) -> Result<MergeTree, String> {
         }
         levels.push(pairs);
     }
-    let root = PartitionId(c.u()? as u32);
-    let n_leaves = c.u()? as usize;
-    let leaves = c.take(n_leaves)?.iter().map(|&l| PartitionId(l as u32)).collect();
+    let root = PartitionId(r.word()? as u32);
+    let n_leaves = r.word()? as usize;
+    let leaves =
+        r.words(n_leaves)?.iter().map(|l| PartitionId(u64::from_le_bytes(*l) as u32)).collect();
     Ok(MergeTree { levels, root, leaves })
 }
 
-/// Everything a worker needs to run, carried by the Init message.
+/// A worker's run settings, carried by the Init message ahead of the merge
+/// tree and the worker's level-0 states.
 struct InitMsg {
     worker_id: u32,
     num_workers: u32,
@@ -256,84 +194,83 @@ struct InitMsg {
     kill: Option<(u32, u32)>,
     kill_mode: KillMode,
     checkpoint_dir: Option<PathBuf>,
-    tree: MergeTree,
-    /// Wire-encoded level-0 states of the slots this worker owns.
-    seeds: Vec<Vec<u64>>,
 }
 
-fn encode_init(m: &InitMsg) -> Vec<u64> {
-    let mut out = vec![m.worker_id as u64, m.num_workers as u64];
-    out.push(match m.strategy {
+/// Init: `[settings…, tree, n, n × state block]`, encoded into `out`
+/// (replacing its contents, reusing its capacity).
+fn encode_init(m: &InitMsg, tree: &MergeTree, seeds: &[WorkingPartition], out: &mut Vec<u8>) {
+    out.clear();
+    out.put_words(&[m.worker_id as u64, m.num_workers as u64]);
+    out.put_word(match m.strategy {
         MergeStrategy::Duplicated => 0,
         MergeStrategy::Deduplicated => 1,
         MergeStrategy::Deferred => 2,
     });
-    out.push(match m.par_mode {
+    out.put_word(match m.par_mode {
         Parallelism::PerPartition => 0,
         Parallelism::IntraPartition => 1,
         Parallelism::Auto => 2,
     });
-    out.push(m.phase1_threads as u64);
-    out.push(m.worker_threads as u64);
-    out.push(m.heartbeat_interval.as_nanos() as u64);
+    out.put_word(m.phase1_threads as u64);
+    out.put_word(m.worker_threads as u64);
+    out.put_word(m.heartbeat_interval.as_nanos() as u64);
     match m.kill {
-        Some((w, s)) => out.extend_from_slice(&[1, w as u64, s as u64]),
-        None => out.extend_from_slice(&[0, 0, 0]),
+        Some((w, s)) => out.put_words(&[1, w as u64, s as u64]),
+        None => out.put_words(&[0, 0, 0]),
     }
-    out.push(match m.kill_mode {
+    out.put_word(match m.kill_mode {
         KillMode::Exit => 0,
         KillMode::Stall => 1,
     });
     match &m.checkpoint_dir {
         Some(d) => {
-            out.push(1);
-            push_str(&mut out, &d.to_string_lossy());
+            out.put_word(1);
+            out.put_str(&d.to_string_lossy());
         }
-        None => out.push(0),
+        None => out.put_word(0),
     }
-    encode_tree(&mut out, &m.tree);
-    out.push(m.seeds.len() as u64);
-    for s in &m.seeds {
-        out.push(s.len() as u64);
-        out.extend_from_slice(s);
+    encode_tree(out, tree);
+    out.put_word(seeds.len() as u64);
+    for wp in seeds {
+        let at = out.begin_block();
+        wire::encode(wp, out);
+        out.end_block(at);
     }
-    out
 }
 
-fn decode_init(words: &[u64]) -> Result<InitMsg, String> {
-    let mut c = Cursor::new(words);
-    let worker_id = c.u()? as u32;
-    let num_workers = c.u()? as u32;
-    let strategy = match c.u()? {
+fn decode_init(payload: &[u8]) -> Result<(InitMsg, MergeTree, Vec<WorkingPartition>), String> {
+    let mut r = WordReader::new(payload)?;
+    let worker_id = r.word()? as u32;
+    let num_workers = r.word()? as u32;
+    let strategy = match r.word()? {
         0 => MergeStrategy::Duplicated,
         1 => MergeStrategy::Deduplicated,
         2 => MergeStrategy::Deferred,
         t => return Err(format!("unknown merge strategy tag {t}")),
     };
-    let par_mode = match c.u()? {
+    let par_mode = match r.word()? {
         0 => Parallelism::PerPartition,
         1 => Parallelism::IntraPartition,
         2 => Parallelism::Auto,
         t => return Err(format!("unknown parallelism tag {t}")),
     };
-    let phase1_threads = c.u()? as usize;
-    let worker_threads = c.u()? as usize;
-    let heartbeat_interval = Duration::from_nanos(c.u()?);
-    let kill_flag = c.u()?;
-    let kill_w = c.u()? as u32;
-    let kill_s = c.u()? as u32;
+    let phase1_threads = r.word()? as usize;
+    let worker_threads = r.word()? as usize;
+    let heartbeat_interval = Duration::from_nanos(r.word()?);
+    let kill_flag = r.word()?;
+    let kill_w = r.word()? as u32;
+    let kill_s = r.word()? as u32;
     let kill = (kill_flag != 0).then_some((kill_w, kill_s));
-    let kill_mode = if c.u()? == 0 { KillMode::Exit } else { KillMode::Stall };
-    let checkpoint_dir =
-        if c.u()? != 0 { Some(PathBuf::from(read_str(&mut c)?)) } else { None };
-    let tree = decode_tree(&mut c)?;
-    let n_seeds = c.u()? as usize;
-    let mut seeds = Vec::with_capacity(c.cap(n_seeds));
+    let kill_mode = if r.word()? == 0 { KillMode::Exit } else { KillMode::Stall };
+    let checkpoint_dir = if r.word()? != 0 { Some(PathBuf::from(r.str()?)) } else { None };
+    let tree = decode_tree(&mut r)?;
+    let n_seeds = r.word()? as usize;
+    let mut seeds = Vec::with_capacity(r.cap(n_seeds, 7));
     for _ in 0..n_seeds {
-        let len = c.u()? as usize;
-        seeds.push(c.take(len)?.to_vec());
+        seeds.push(wire::decode(r.block()?)?);
     }
-    Ok(InitMsg {
+    r.finish()?;
+    let init = InitMsg {
         worker_id,
         num_workers,
         strategy,
@@ -344,103 +281,143 @@ fn decode_init(words: &[u64]) -> Result<InitMsg, String> {
         kill,
         kill_mode,
         checkpoint_dir,
-        tree,
-        seeds,
-    })
+    };
+    Ok((init, tree, seeds))
 }
 
-fn encode_start(superstep: u32, msgs: &[Vec<u64>]) -> Vec<u64> {
-    let mut out = vec![superstep as u64, msgs.len() as u64];
-    for m in msgs {
-        out.push(m.len() as u64);
-        out.extend_from_slice(m);
+/// Start: `[superstep, n, n × state block]` — the encoded child states a
+/// worker merges at `superstep` — encoded into `out` (replacing its
+/// contents, reusing its capacity).
+fn encode_start(superstep: u32, states: &[&[u8]], out: &mut Vec<u8>) {
+    out.clear();
+    out.reserve(16 + states.iter().map(|s| 8 + s.len()).sum::<usize>());
+    out.put_words(&[superstep as u64, states.len() as u64]);
+    for state in states {
+        out.put_word(state.len() as u64 / 8);
+        out.extend_from_slice(state);
     }
-    out
 }
 
-fn decode_start(words: &[u64]) -> Result<(u32, Vec<Vec<u64>>), String> {
-    let mut c = Cursor::new(words);
-    let superstep = c.u()? as u32;
-    let n = c.u()? as usize;
-    let mut msgs = Vec::with_capacity(c.cap(n));
+/// Decodes a Start in place: the superstep and the state blocks, still
+/// encoded, borrowed from the payload.
+fn decode_start(payload: &[u8]) -> Result<(u32, Vec<&[u8]>), String> {
+    let mut r = WordReader::new(payload)?;
+    let superstep = r.word()? as u32;
+    let n = r.word()? as usize;
+    let mut states = Vec::with_capacity(r.cap(n, 1));
     for _ in 0..n {
-        let len = c.u()? as usize;
-        msgs.push(c.take(len)?.to_vec());
+        states.push(r.block()?);
     }
-    Ok((superstep, msgs))
+    r.finish()?;
+    Ok((superstep, states))
 }
 
-/// One worker's answer to a Start — its slice of the level outcome plus
-/// everything the coordinator must retain (shipped states, fragments,
-/// checkpoint accounting).
+/// Words per partition report in a Done message.
+const REPORT_WORDS: usize = 19;
+
+/// Appends one partition report plus its post-Phase-1 `memory_longs`.
+fn encode_report(out: &mut Vec<u8>, r: &LevelPartitionReport, post_memory: u64) {
+    out.put_words(&[
+        r.partition.0 as u64,
+        r.counts.even_internal,
+        r.counts.even_boundary,
+        r.counts.odd_boundary,
+        r.counts.remote_edges,
+        r.counts.local_edges,
+        r.complexity,
+        r.phase1_time.as_nanos() as u64,
+        r.merge_time.as_nanos() as u64,
+        r.memory_longs,
+        r.remote_needed_now,
+        r.transfer_in_longs,
+        r.paths_found,
+        r.cycles_found,
+        r.internal_cycles_merged,
+        r.splice_pivot_lookups,
+        r.splice_linked_splices,
+        r.splice_materialization_longs,
+        post_memory,
+    ]);
+}
+
+/// Appends `[n, n × (provisional id, fragment block)]` for the fragments
+/// each slot found at `level` (`(slot, scratch store)` pairs, in slot
+/// order): scratch ids become provisional ids while encoding, so nothing
+/// is cloned to rename it.
+fn encode_found(out: &mut Vec<u8>, level: u32, found: &[(u32, FragmentStore)]) {
+    out.put_word(found.iter().map(|(_, store)| store.len() as u64).sum());
+    for &(slot, ref store) in found {
+        store.with_all(|frags| {
+            for f in frags {
+                out.put_word(remap(f.id, level, slot).0);
+                let at = out.begin_block();
+                encode_fragment_remapped(f, |id| remap(id, level, slot), out);
+                out.end_block(at);
+            }
+        });
+    }
+}
+
+/// What a worker ships back from one superstep, before encoding.
 #[derive(Default)]
-struct DoneMsg {
+struct DoneOut {
     superstep: u32,
     reports: Vec<LevelPartitionReport>,
     /// Post-Phase-1 `memory_longs` per report partition, for engine stats.
     post_memory: Vec<u64>,
-    /// `(destination partition, wire-encoded state)` ships.
-    outgoing: Vec<(u32, Vec<u64>)>,
-    /// `(provisional id, spill-codec record)` fragments found this level.
-    fragments: Vec<(u64, Vec<u64>)>,
+    /// `(destination partition, state)` ships.
+    outgoing: Vec<(u32, WorkingPartition)>,
+    /// `(slot, scratch store)`: the fragments each slot found this level.
+    found: Vec<(u32, FragmentStore)>,
     transfer_longs: u64,
     checkpoint_longs: u64,
 }
 
-fn encode_done(m: &DoneMsg) -> Vec<u64> {
-    let mut out = vec![m.superstep as u64, m.reports.len() as u64];
-    for (r, post) in m.reports.iter().zip(&m.post_memory) {
-        out.extend_from_slice(&[
-            r.partition.0 as u64,
-            r.counts.even_internal,
-            r.counts.even_boundary,
-            r.counts.odd_boundary,
-            r.counts.remote_edges,
-            r.counts.local_edges,
-            r.complexity,
-            r.phase1_time.as_nanos() as u64,
-            r.merge_time.as_nanos() as u64,
-            r.memory_longs,
-            r.remote_needed_now,
-            r.transfer_in_longs,
-            r.paths_found,
-            r.cycles_found,
-            r.internal_cycles_merged,
-            r.splice_pivot_lookups,
-            r.splice_linked_splices,
-            r.splice_materialization_longs,
-            *post,
-        ]);
+/// Done: `[superstep, n, n × report, n_out, n_out × (to, state block),
+/// n_frags, n_frags × (provisional id, fragment block), transfer_longs,
+/// checkpoint_longs]`, encoded into `out` (replacing its contents, reusing
+/// its capacity).
+fn encode_done(m: &DoneOut, out: &mut Vec<u8>) {
+    out.clear();
+    out.put_words(&[m.superstep as u64, m.reports.len() as u64]);
+    for (r, &post) in m.reports.iter().zip(&m.post_memory) {
+        encode_report(out, r, post);
     }
-    out.push(m.outgoing.len() as u64);
-    for (to, words) in &m.outgoing {
-        out.push(*to as u64);
-        out.push(words.len() as u64);
-        out.extend_from_slice(words);
+    out.put_word(m.outgoing.len() as u64);
+    for (to, wp) in &m.outgoing {
+        out.put_word(*to as u64);
+        let at = out.begin_block();
+        wire::encode(wp, out);
+        out.end_block(at);
     }
-    out.push(m.fragments.len() as u64);
-    for (id, words) in &m.fragments {
-        out.push(*id);
-        out.push(words.len() as u64);
-        out.extend_from_slice(words);
-    }
-    out.push(m.transfer_longs);
-    out.push(m.checkpoint_longs);
-    out
+    encode_found(out, m.superstep, &m.found);
+    out.put_words(&[m.transfer_longs, m.checkpoint_longs]);
 }
 
-fn decode_done(words: &[u64]) -> Result<DoneMsg, String> {
-    let mut c = Cursor::new(words);
-    let superstep = c.u()? as u32;
-    let n_reports = c.u()? as usize;
-    let mut reports = Vec::with_capacity(c.cap(n_reports));
-    let mut post_memory = Vec::with_capacity(c.cap(n_reports));
+/// A Done as the coordinator reads it, in place: reports decoded, shipped
+/// states still encoded (they are forwarded, not merged, here), fragments
+/// decoded once under their provisional ids. (The superstep is read by
+/// the barrier before this, and stamped on each report.)
+struct DoneMsg<'a> {
+    reports: Vec<LevelPartitionReport>,
+    post_memory: Vec<u64>,
+    outgoing: Vec<(u32, &'a [u8])>,
+    fragments: Vec<Fragment>,
+    transfer_longs: u64,
+    checkpoint_longs: u64,
+}
+
+fn decode_done(payload: &[u8]) -> Result<DoneMsg<'_>, String> {
+    let mut r = WordReader::new(payload)?;
+    let superstep = r.word()? as u32;
+    let n_reports = r.word()? as usize;
+    let mut reports = Vec::with_capacity(r.cap(n_reports, REPORT_WORDS));
+    let mut post_memory = Vec::with_capacity(reports.capacity());
     for _ in 0..n_reports {
-        let &[partition, even_internal, even_boundary, odd_boundary, remote_edges, local_edges, complexity, phase1_ns, merge_ns, memory_longs, remote_needed_now, transfer_in_longs, paths_found, cycles_found, internal_cycles_merged, splice_pivot_lookups, splice_linked_splices, splice_materialization_longs, post_mem] =
-            c.take(19)?
-        else {
-            return Err("partition report: expected 19 words".into());
-        };
+        let block: &[[u8; 8]; REPORT_WORDS] =
+            r.words(REPORT_WORDS)?.try_into().map_err(|_| "partition report: expected 19 words")?;
+        let [partition, even_internal, even_boundary, odd_boundary, remote_edges, local_edges, complexity, phase1_ns, merge_ns, memory_longs, remote_needed_now, transfer_in_longs, paths_found, cycles_found, internal_cycles_merged, splice_pivot_lookups, splice_linked_splices, splice_materialization_longs, post_mem] =
+            block.map(u64::from_le_bytes);
         reports.push(LevelPartitionReport {
             level: superstep,
             partition: PartitionId(partition as u32),
@@ -466,24 +443,22 @@ fn decode_done(words: &[u64]) -> Result<DoneMsg, String> {
         });
         post_memory.push(post_mem);
     }
-    let n_out = c.u()? as usize;
-    let mut outgoing = Vec::with_capacity(c.cap(n_out));
+    let n_out = r.word()? as usize;
+    let mut outgoing = Vec::with_capacity(r.cap(n_out, 2));
     for _ in 0..n_out {
-        let to = c.u()? as u32;
-        let len = c.u()? as usize;
-        outgoing.push((to, c.take(len)?.to_vec()));
+        let to = r.word()? as u32;
+        outgoing.push((to, r.block()?));
     }
-    let n_frags = c.u()? as usize;
-    let mut fragments = Vec::with_capacity(c.cap(n_frags));
+    let n_frags = r.word()? as usize;
+    let mut fragments = Vec::with_capacity(r.cap(n_frags, 6));
     for _ in 0..n_frags {
-        let id = c.u()?;
-        let len = c.u()? as usize;
-        fragments.push((id, c.take(len)?.to_vec()));
+        let id = r.word()?;
+        fragments.push(decode_fragment(FragmentId(id), r.block()?)?);
     }
-    let transfer_longs = c.u()?;
-    let checkpoint_longs = c.u()?;
+    let transfer_longs = r.word()?;
+    let checkpoint_longs = r.word()?;
+    r.finish()?;
     Ok(DoneMsg {
-        superstep,
         reports,
         post_memory,
         outgoing,
@@ -516,91 +491,64 @@ struct WorkerState {
 }
 
 impl WorkerState {
-    fn build(init: InitMsg) -> Result<Self, String> {
-        let mut slots = BTreeMap::new();
-        for words in &init.seeds {
-            let wp = wire::decode(words);
-            slots.insert(wp.id.0, wp);
-        }
-        let executor =
-            Phase1Executor::new(init.par_mode).with_threads(init.phase1_threads);
-        let tree = Arc::new(init.tree.clone());
-        Ok(WorkerState { init, tree, slots, executor, kill_consumed: false })
+    fn build(init: InitMsg, tree: MergeTree, seeds: Vec<WorkingPartition>) -> Self {
+        let slots = seeds.into_iter().map(|wp| (wp.id.0, wp)).collect();
+        let executor = Phase1Executor::new(init.par_mode).with_threads(init.phase1_threads);
+        WorkerState { init, tree: Arc::new(tree), slots, executor, kill_consumed: false }
     }
 
-    /// Serialises the state entering `superstep` (plus the fragments found
-    /// at `superstep - 1`) into checkpoint payload words.
-    fn checkpoint_words(&self, fragments: &[(u64, Vec<u64>)]) -> Vec<u64> {
-        let mut out = vec![self.slots.len() as u64];
-        for wp in self.slots.values() {
-            let words = wire::encode(wp);
-            out.push(words.len() as u64);
-            out.extend_from_slice(&words);
-        }
-        out.push(fragments.len() as u64);
-        for (id, words) in fragments {
-            out.push(*id);
-            out.push(words.len() as u64);
-            out.extend_from_slice(words);
-        }
-        out
-    }
-
-    /// Writes the checkpoint entering `superstep`. Returns Longs written
+    /// Writes the checkpoint entering `superstep`: the partition states plus
+    /// the fragments found at `superstep - 1` (`found`, as in [`DoneOut`]),
+    /// `[n, n × state block, fragments as in a Done]`. Returns Longs written
     /// (0 when checkpointing is off).
-    fn write_ckpt(&self, superstep: u32, fragments: &[(u64, Vec<u64>)]) -> u64 {
+    fn write_ckpt(&self, superstep: u32, found: &[(u32, FragmentStore)]) -> u64 {
         let Some(dir) = &self.init.checkpoint_dir else { return 0 };
+        let mut payload = Vec::new();
+        payload.put_word(self.slots.len() as u64);
+        for wp in self.slots.values() {
+            let at = payload.begin_block();
+            wire::encode(wp, &mut payload);
+            payload.end_block(at);
+        }
+        encode_found(&mut payload, superstep.saturating_sub(1), found);
         let path = checkpoint_file(dir, self.init.worker_id, superstep);
-        write_checkpoint(&path, &self.checkpoint_words(fragments)).unwrap_or_default()
+        write_checkpoint(&path, &payload).unwrap_or_default()
     }
 
     /// Restores the state entering `superstep` from this worker's
     /// checkpoint. A refusal says whether a file was present but unusable
-    /// (torn write, foreign version, bad checksum) — i.e. *ignored* — as
-    /// opposed to simply absent.
+    /// (torn write, foreign version, bad checksum, undecodable payload) —
+    /// i.e. *ignored* — as opposed to simply absent.
     fn restore(&mut self, superstep: u32) -> Result<u64, RestoreRefusal> {
         let Some(dir) = &self.init.checkpoint_dir else {
             return Err(RestoreRefusal { ignored: false });
         };
         let path = checkpoint_file(dir, self.init.worker_id, superstep);
-        let words = match read_checkpoint(&path) {
-            Ok(w) => w,
+        let payload = match read_checkpoint(&path) {
+            Ok(p) => p,
             Err(CheckpointError::Missing) => {
                 return Err(RestoreRefusal { ignored: false })
             }
             Err(_) => return Err(RestoreRefusal { ignored: true }),
         };
-        let decode = |words: &[u64]| -> Result<BTreeMap<u32, WorkingPartition>, String> {
-            let mut c = Cursor::new(words);
-            let n_slots = c.u()? as usize;
-            let mut slots = BTreeMap::new();
-            for _ in 0..n_slots {
-                let len = c.u()? as usize;
-                let wp = wire::decode(c.take(len)?);
-                slots.insert(wp.id.0, wp);
-            }
-            // Validate (and drop) the fragment section: the coordinator
-            // already holds every fragment committed at a barrier.
-            let n_frags = c.u()? as usize;
-            for _ in 0..n_frags {
-                let id = c.u()?;
-                let len = c.u()? as usize;
-                let _ = decode_fragment(FragmentId(id), c.take(len)?);
-            }
-            Ok(slots)
-        };
-        match decode(&words) {
+        match decode_checkpoint(&payload) {
             Ok(slots) => {
                 self.slots = slots;
-                Ok(words.len() as u64)
+                Ok(payload.len() as u64 / 8)
             }
             Err(_) => Err(RestoreRefusal { ignored: true }),
         }
     }
 
     /// Runs one superstep: merge inbound child states, Phase 1 per owned
-    /// slot (ascending), ship retiring states, checkpoint.
-    fn superstep(&mut self, superstep: u32, inbox: Vec<Vec<u64>>) -> DoneMsg {
+    /// slot (ascending), ship retiring states, checkpoint. Encodes the Done
+    /// into `out`; an inbound state that does not decode is an error.
+    fn superstep(
+        &mut self,
+        superstep: u32,
+        inbox: &[&[u8]],
+        out: &mut Vec<u8>,
+    ) -> Result<(), String> {
         let level = superstep;
         let tree = &self.tree;
         let strategy = self.init.strategy;
@@ -611,28 +559,33 @@ impl WorkerState {
         // pair list.
         let prev_pairs: &[MergePair] =
             if level > 0 { tree.pairs_at(level - 1) } else { &[] };
-        let mut inbound: Vec<WorkingPartition> =
-            inbox.iter().map(|w| wire::decode(w)).collect();
+        let mut inbound =
+            inbox.iter().map(|state| wire::decode(state)).collect::<Result<Vec<_>, _>>()?;
         inbound.sort_by_key(|child| {
             prev_pairs.iter().position(|p| p.child == child.id).unwrap_or(usize::MAX)
         });
+        let mut inbound: Vec<Option<WorkingPartition>> = inbound.into_iter().map(Some).collect();
 
-        let mut done = DoneMsg { superstep, ..Default::default() };
-        let mut new_fragments: Vec<(u64, Vec<u64>)> = Vec::new();
+        let mut done = DoneOut { superstep, ..Default::default() };
         let slot_ids: Vec<u32> = self.slots.keys().copied().collect();
         for slot in slot_ids {
-            let mut wp = self.slots.remove(&slot).expect("slot present");
+            let mut wp = self
+                .slots
+                .remove(&slot)
+                .ok_or_else(|| format!("slot {slot} vanished during superstep {superstep}"))?;
             // --- Phase 2: merge child states addressed to this slot. -----
             let mut merge_time = Duration::ZERO;
             let mut transfer_in = 0u64;
-            for child in inbound.iter().filter(|c| {
-                prev_pairs.iter().any(|p| p.child == c.id && p.parent.0 == slot)
-            }) {
+            for entry in &mut inbound {
+                let addressed = entry.as_ref().is_some_and(|c| {
+                    prev_pairs.iter().any(|p| p.child == c.id && p.parent.0 == slot)
+                });
+                let Some(child) = entry.take_if(|_| addressed) else { continue };
                 transfer_in +=
-                    transfer_longs(child, tree, level.saturating_sub(1), strategy);
+                    transfer_longs(&child, tree, level.saturating_sub(1), strategy);
                 let t0 = Instant::now();
                 let (merged, _stats) =
-                    merge_partitions(wp, child.clone(), tree, level.saturating_sub(1));
+                    merge_partitions(wp, child, tree, level.saturating_sub(1));
                 merge_time += t0.elapsed();
                 wp = merged;
             }
@@ -664,32 +617,17 @@ impl WorkerState {
             let out = self.executor.run_with_threads(&mut wp, &scratch, threads);
             let phase1_time = t1.elapsed();
 
-            // --- Remap scratch ids to provisional ids. -------------------
-            // New fragments were pushed with dense scratch ids 0..n; give
-            // them their (superstep, slot, seq) identity, and rewrite every
-            // reference to them (their own edges splice in same-batch ids,
-            // the partition's residual virtual edges point at them too).
-            let mut rec = Vec::new();
-            scratch.with_all(|frags| {
-                for f in frags {
-                    let mut f = f.clone();
-                    f.id = remap(f.id, level, slot);
-                    for e in &mut f.edges {
-                        if let crate::fragment::TourEdge::Virtual { fragment, .. } = e {
-                            *fragment = remap(*fragment, level, slot);
-                        }
-                    }
-                    encode_fragment(&f, &mut rec);
-                    new_fragments.push((f.id.0, rec.clone()));
-                }
-            });
+            // New fragments were pushed with dense scratch ids 0..n; they
+            // take their (superstep, slot, seq) identity when encoded. The
+            // partition's residual virtual edges point at them too.
             for e in &mut wp.local_edges {
                 if let EdgeRef::Virtual(id) = &mut e.edge {
                     *id = remap(*id, level, slot);
                 }
             }
+            done.found.push((slot, scratch));
 
-            let post_memory = wp.memory_longs();
+            done.post_memory.push(wp.memory_longs());
             done.reports.push(LevelPartitionReport {
                 level,
                 partition: wp.id,
@@ -707,7 +645,6 @@ impl WorkerState {
                 splice_linked_splices: out.splice.linked_splices,
                 splice_materialization_longs: out.splice.materialization_longs,
             });
-            done.post_memory.push(post_memory);
 
             // --- Ship to the merge parent if this slot retires here. -----
             let retires = if level < height {
@@ -717,24 +654,45 @@ impl WorkerState {
             };
             if let Some(parent) = retires {
                 done.transfer_longs += transfer_longs(&wp, tree, level, strategy);
-                done.outgoing.push((parent, wire::encode(&wp)));
+                done.outgoing.push((parent, wp));
                 // Retired: the slot does not come back.
             } else {
                 self.slots.insert(slot, wp);
             }
         }
 
-        done.checkpoint_longs = self.write_ckpt(superstep + 1, &new_fragments);
-        done.fragments = new_fragments;
-        done
+        done.checkpoint_longs = self.write_ckpt(superstep + 1, &done.found);
+        encode_done(&done, out);
+        Ok(())
     }
+}
+
+/// Decodes a checkpoint payload written by [`WorkerState::write_ckpt`] into
+/// the partition states it holds. The fragment section is validated and
+/// dropped: the coordinator already holds every fragment committed at a
+/// barrier.
+fn decode_checkpoint(payload: &[u8]) -> Result<BTreeMap<u32, WorkingPartition>, String> {
+    let mut r = WordReader::new(payload)?;
+    let n_slots = r.word()?;
+    let mut slots = BTreeMap::new();
+    for _ in 0..n_slots {
+        let wp = wire::decode(r.block()?)?;
+        slots.insert(wp.id.0, wp);
+    }
+    let n_frags = r.word()?;
+    for _ in 0..n_frags {
+        let id = r.word()?;
+        decode_fragment(FragmentId(id), r.block()?)?;
+    }
+    r.finish()?;
+    Ok(slots)
 }
 
 /// Runs the worker protocol loop over an established connection. Returns
 /// when told to shut down, or exits early on an injected kill / protocol
 /// failure (the coordinator sees the connection drop and recovers).
 pub(crate) fn run_worker(conn: Arc<dyn Connection>, worker_id: u32) -> Result<(), String> {
-    conn.send(kind::HELLO, &words_to_bytes(&[worker_id as u64]))
+    conn.send(kind::HELLO, &word_payload(&[worker_id as u64]))
         .map_err(|e| format!("hello failed: {e}"))?;
 
     let mut state: Option<WorkerState> = None;
@@ -745,6 +703,9 @@ pub(crate) fn run_worker(conn: Arc<dyn Connection>, worker_id: u32) -> Result<()
     let busy = Arc::new(AtomicBool::new(false));
     let stop = Arc::new(AtomicBool::new(false));
     let mut heartbeat: Option<std::thread::JoinHandle<()>> = None;
+    // One Done buffer for the worker's life: later supersteps encode into
+    // memory the first one already faulted in.
+    let mut done = Vec::new();
 
     let result = loop {
         let (k, payload) = match conn.recv_timeout(None) {
@@ -752,10 +713,10 @@ pub(crate) fn run_worker(conn: Arc<dyn Connection>, worker_id: u32) -> Result<()
             Err(FrameError::Closed) => break Ok(()),
             Err(e) => break Err(format!("worker recv failed: {e}")),
         };
-        let words = bytes_to_words(&payload)?;
         match k {
             kind::INIT => {
-                let init = decode_init(&words)?;
+                let (init, tree, seeds) = decode_init(&payload)?;
+                drop(payload);
                 if heartbeat.is_none() {
                     let interval = init.heartbeat_interval;
                     let conn2 = Arc::clone(&conn);
@@ -773,15 +734,15 @@ pub(crate) fn run_worker(conn: Arc<dyn Connection>, worker_id: u32) -> Result<()
                         }
                     }));
                 }
-                let st = WorkerState::build(init)?;
+                let st = WorkerState::build(init, tree, seeds);
                 let ckpt0 = st.write_ckpt(0, &[]);
                 state = Some(st);
-                conn.send(kind::READY, &words_to_bytes(&[ckpt0]))
+                conn.send(kind::READY, &word_payload(&[ckpt0]))
                     .map_err(|e| format!("ready failed: {e}"))?;
             }
             kind::START => {
                 let st = state.as_mut().ok_or("Start before Init")?;
-                let (superstep, inbox) = decode_start(&words)?;
+                let (superstep, inbox) = decode_start(&payload)?;
                 busy.store(true, Ordering::Relaxed);
                 if let Some((kw, ks)) = st.init.kill {
                     if kw == st.init.worker_id && ks == superstep && !st.kill_consumed {
@@ -798,29 +759,27 @@ pub(crate) fn run_worker(conn: Arc<dyn Connection>, worker_id: u32) -> Result<()
                         }
                     }
                 }
-                let done = st.superstep(superstep, inbox);
-                let send = conn.send(kind::DONE, &words_to_bytes(&encode_done(&done)));
+                let computed = st.superstep(superstep, &inbox, &mut done);
+                drop(inbox);
+                drop(payload);
+                let send = computed.and_then(|()| {
+                    conn.send(kind::DONE, &done).map_err(|e| format!("done failed: {e}"))
+                });
                 busy.store(false, Ordering::Relaxed);
-                send.map_err(|e| format!("done failed: {e}"))?;
+                send?;
             }
             kind::RESTORE => {
                 let st = state.as_mut().ok_or("Restore before Init")?;
-                let mut c = Cursor::new(&words);
-                let superstep = c.u()? as u32;
+                let [superstep] = read_words(&payload)?;
+                let superstep = superstep as u32;
                 match st.restore(superstep) {
                     Ok(longs) => conn
-                        .send(
-                            kind::RESTORE_ACK,
-                            &words_to_bytes(&[superstep as u64, longs]),
-                        )
+                        .send(kind::RESTORE_ACK, &word_payload(&[superstep as u64, longs]))
                         .map_err(|e| format!("restore ack failed: {e}"))?,
                     Err(refusal) => {
                         conn.send(
                             kind::RESTORE_FAILED,
-                            &words_to_bytes(&[
-                                superstep as u64,
-                                u64::from(refusal.ignored),
-                            ]),
+                            &word_payload(&[superstep as u64, u64::from(refusal.ignored)]),
                         )
                         .map_err(|e| format!("restore nack failed: {e}"))?;
                     }
@@ -911,20 +870,21 @@ pub(crate) struct DistRun {
     cfg: DistConfig,
     tree: Arc<MergeTree>,
     strategy: MergeStrategy,
-    /// Wire-encoded level-0 seeds per worker, retained for re-Init.
-    seeds_by_worker: Vec<Vec<Vec<u64>>>,
+    /// Level-0 states per worker, retained for re-Init.
+    seeds_by_worker: Vec<Vec<WorkingPartition>>,
     listener: Box<dyn Listener>,
     workers: Vec<WorkerHandle>,
     events_tx: mpsc::Sender<Event>,
     events_rx: mpsc::Receiver<Event>,
-    /// Current superstep's Start payloads per worker, retained until the
-    /// barrier commits so they can be re-delivered after a rollback.
-    inbox: Vec<Vec<Vec<u64>>>,
-    /// Fragments committed per superstep (barrier-complete only).
-    committed_frags: BTreeMap<u32, Vec<(u64, Vec<u64>)>>,
-    /// Dones collected by the in-flight barrier (filled by `wait_barrier`,
-    /// consumed by `run_superstep`).
-    pending_dones: Vec<(u32, DoneMsg)>,
+    /// Current superstep's encoded Start per worker, retained until the
+    /// barrier commits so it can be re-delivered after a rollback.
+    inbox: Vec<Vec<u8>>,
+    /// Fragments committed per superstep (barrier-complete only), under
+    /// their provisional ids.
+    committed_frags: BTreeMap<u32, Vec<Fragment>>,
+    /// Done payloads collected by the in-flight barrier (filled by
+    /// `wait_barrier`, decoded and consumed by `commit`).
+    pending_dones: Vec<(u32, Vec<u8>)>,
     superstep_stats: Vec<SuperstepStats>,
     recovery: RecoveryStats,
     warnings: Vec<String>,
@@ -936,18 +896,22 @@ pub(crate) struct DistRun {
 }
 
 impl DistRun {
-    /// Spawns and initialises the worker fleet over the level-0 seed.
+    /// Spawns and initialises the worker fleet over the level-0 seed: every
+    /// worker is spawned and sent its Init before any Ready is awaited, so
+    /// the workers decode their seeds concurrently.
     pub fn new(
         cfg: DistConfig,
         tree: Arc<MergeTree>,
         strategy: MergeStrategy,
-        seed: &[WorkingPartition],
+        seed: Vec<WorkingPartition>,
     ) -> Result<Self, EulerError> {
         let t_start = Instant::now();
+        let mut cfg = cfg;
+        cfg.num_workers = cfg.num_workers.max(1);
         let num_workers = cfg.num_workers;
-        let mut seeds_by_worker: Vec<Vec<Vec<u64>>> = vec![Vec::new(); num_workers];
+        let mut seeds_by_worker: Vec<Vec<WorkingPartition>> = vec![Vec::new(); num_workers];
         for wp in seed {
-            seeds_by_worker[owner(wp.id.0, num_workers)].push(wire::encode(wp));
+            seeds_by_worker[owner(wp.id.0, num_workers)].push(wp);
         }
         let listener = cfg
             .transport
@@ -975,9 +939,13 @@ impl DistRun {
             finished: false,
             cfg,
         };
-        for w in 0..num_workers as u32 {
-            run.spawn_worker(w)?;
-            run.init_worker(w)?;
+        for start in &mut run.inbox {
+            encode_start(0, &[], start);
+        }
+        let all: Vec<u32> = (0..num_workers as u32).collect();
+        run.spawn_workers(&all)?;
+        run.init_workers(&all)?;
+        for w in all {
             run.start_receiver(w);
         }
         Ok(run)
@@ -986,29 +954,29 @@ impl DistRun {
     /// Runs one merge level to completion (recovering as needed) and
     /// returns its outcome.
     pub fn step(&mut self, level: u32) -> Result<LevelOutcome, EulerError> {
-        self.run_superstep(level, true)
-            .map(|o| o.expect("recorded superstep returns an outcome"))
+        self.run_superstep(level, true)?.ok_or_else(|| {
+            EulerError::Distributed(format!("superstep {level} committed without an outcome"))
+        })
     }
 
     /// Moves every committed fragment into `store` in deterministic order:
     /// sorted by provisional id (= the sequential push order), densely
     /// renumbered, every virtual reference rewritten.
     pub fn flush_fragments(&mut self, store: &FragmentStore) -> Result<(), EulerError> {
-        let mut all: Vec<(u64, Vec<u64>)> =
+        let mut all: Vec<Fragment> =
             std::mem::take(&mut self.committed_frags).into_values().flatten().collect();
-        all.sort_by_key(|(id, _)| *id);
-        let dense: HashMap<u64, u64> =
-            all.iter().enumerate().map(|(i, (id, _))| (*id, i as u64)).collect();
-        for (i, (id, words)) in all.iter().enumerate() {
-            let mut f: Fragment = decode_fragment(FragmentId(i as u64), words);
+        all.sort_by_key(|f| f.id);
+        let ids: Vec<FragmentId> = all.iter().map(|f| f.id).collect();
+        for (i, mut f) in all.into_iter().enumerate() {
             for e in &mut f.edges {
                 if let crate::fragment::TourEdge::Virtual { fragment, .. } = e {
-                    *fragment = FragmentId(*dense.get(&fragment.0).ok_or_else(|| {
+                    let dense = ids.binary_search(fragment).map_err(|_| {
                         EulerError::Distributed(format!(
-                            "fragment {id:#x} references unknown fragment {:#x}",
-                            fragment.0
+                            "fragment {:#x} references unknown fragment {:#x}",
+                            f.id.0, fragment.0
                         ))
-                    })?);
+                    })?;
+                    *fragment = FragmentId(dense as u64);
                 }
             }
             let assigned = store.push(f);
@@ -1071,13 +1039,46 @@ impl DistRun {
 
     // -- internals ----------------------------------------------------------
 
-    fn spawn_worker(&mut self, w: u32) -> Result<(), EulerError> {
+    /// Spawns workers `ws` (threads or processes) all at once, then accepts
+    /// connections until each of them has said Hello. Connect order may
+    /// differ from spawn order; a Hello from any other worker (a late,
+    /// stale one) is dropped, and its closing connection sends it back
+    /// through recovery.
+    fn spawn_workers(&mut self, ws: &[u32]) -> Result<(), EulerError> {
         let endpoint = self.listener.endpoint();
-        let child = match &self.cfg.spawn {
+        let mut children: Vec<(u32, Option<std::process::Child>)> = Vec::with_capacity(ws.len());
+        let mut spawned = Ok(());
+        for &w in ws {
+            match self.spawn_one(w, &endpoint) {
+                Ok(child) => children.push((w, child)),
+                Err(e) => {
+                    spawned = Err(e);
+                    break;
+                }
+            }
+        }
+        let connected = spawned.and_then(|()| self.accept_hellos(&mut children));
+        if connected.is_err() {
+            // Reap whatever was spawned but never joined the fleet.
+            for (_, child) in &mut children {
+                if let Some(mut child) = child.take() {
+                    child.kill().ok();
+                    child.wait().ok();
+                }
+            }
+        }
+        connected
+    }
+
+    /// Starts worker `w` connecting to `endpoint`: a thread, or a process
+    /// whose handle is returned.
+    fn spawn_one(&self, w: u32, endpoint: &str) -> Result<Option<std::process::Child>, EulerError> {
+        match &self.cfg.spawn {
             WorkerSpawn::Threads => {
                 let attempts = self.cfg.policy.connect_attempts;
                 let backoff = self.cfg.policy.connect_backoff;
                 let transport = Arc::clone(&self.cfg.transport);
+                let endpoint = endpoint.to_string();
                 std::thread::spawn(move || {
                     let conn = match euler_bsp::transport::connect_with_retry(
                         transport.as_ref(),
@@ -1093,52 +1094,72 @@ impl DistRun {
                     // connection, so the error itself needs no channel.
                     run_worker(Arc::from(conn), w).ok();
                 });
-                None
+                Ok(None)
             }
-            WorkerSpawn::Processes { worker_bin } => Some(
-                std::process::Command::new(worker_bin)
-                    .arg("--endpoint")
-                    .arg(&endpoint)
-                    .arg("--worker-id")
-                    .arg(w.to_string())
-                    .stdout(std::process::Stdio::null())
-                    .spawn()
-                    .map_err(|e| {
-                        EulerError::Distributed(format!(
-                            "spawning worker process {} failed: {e}",
-                            worker_bin.display()
-                        ))
-                    })?,
-            ),
-        };
-        // Accept until the expected worker's Hello arrives (spawn order and
-        // connect order may differ when several workers start at once).
+            WorkerSpawn::Processes { worker_bin } => std::process::Command::new(worker_bin)
+                .arg("--endpoint")
+                .arg(endpoint)
+                .arg("--worker-id")
+                .arg(w.to_string())
+                .stdout(std::process::Stdio::null())
+                .spawn()
+                .map(Some)
+                .map_err(|e| {
+                    EulerError::Distributed(format!(
+                        "spawning worker process {} failed: {e}",
+                        worker_bin.display()
+                    ))
+                }),
+        }
+    }
+
+    /// Accepts until every worker in `children` has said Hello, then
+    /// installs their handles in worker order (moving each process handle
+    /// in).
+    fn accept_hellos(
+        &mut self,
+        children: &mut [(u32, Option<std::process::Child>)],
+    ) -> Result<(), EulerError> {
         let deadline = Instant::now() + Duration::from_secs(30);
-        let conn: Arc<dyn Connection> = loop {
-            if Instant::now() > deadline {
+        let mut waiting: Vec<u32> = children.iter().map(|(w, _)| *w).collect();
+        let mut joined: Vec<(u32, Arc<dyn Connection>)> = Vec::with_capacity(waiting.len());
+        while !waiting.is_empty() {
+            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
                 return Err(EulerError::Distributed(format!(
-                    "worker {w} never connected"
+                    "worker(s) {waiting:?} never connected"
                 )));
-            }
+            };
             let conn = self
                 .listener
-                .accept(Duration::from_secs(30))
+                .accept(left.max(Duration::from_millis(1)))
                 .map_err(|e| EulerError::Distributed(format!("accept failed: {e}")))?;
             let (k, payload) = conn
                 .recv_timeout(Some(Duration::from_secs(10)))
                 .map_err(|e| EulerError::Distributed(format!("handshake failed: {e}")))?;
-            let words = bytes_to_words(&payload).map_err(EulerError::Distributed)?;
-            if k == kind::HELLO && words.first() == Some(&(w as u64)) {
-                // A stalled worker must not block a coordinator send past the
-                // fault deadlines: bound every send by the heartbeat timeout
-                // so a full socket buffer surfaces as FrameError::Timeout and
-                // flows into the existing send-retry / dead-worker path.
-                conn.set_send_timeout(Some(self.cfg.policy.heartbeat_timeout));
-                break Arc::from(conn);
-            }
-            // A Hello from some other (late, stale) worker: drop it; its
-            // connection closing sends it back through spawn recovery.
-        };
+            let hello = read_words::<1>(&payload).ok().filter(|_| k == kind::HELLO);
+            let Some(at) = hello.and_then(|[id]| waiting.iter().position(|&w| u64::from(w) == id))
+            else {
+                continue;
+            };
+            let w = waiting.swap_remove(at);
+            // A stalled worker must not block a coordinator send past the
+            // fault deadlines: bound every send by the heartbeat timeout so
+            // a full socket buffer surfaces as FrameError::Timeout and flows
+            // into the existing send-retry / dead-worker path.
+            conn.set_send_timeout(Some(self.cfg.policy.heartbeat_timeout));
+            joined.push((w, Arc::from(conn)));
+        }
+        joined.sort_by_key(|(w, _)| *w);
+        for (w, conn) in joined {
+            let child = children.iter_mut().find(|(c, _)| *c == w).and_then(|(_, c)| c.take());
+            self.install(w, conn, child);
+        }
+        Ok(())
+    }
+
+    /// Installs worker `w`'s fresh connection: a new handle, or — for a
+    /// respawn — the next epoch of its existing one.
+    fn install(&mut self, w: u32, conn: Arc<dyn Connection>, child: Option<std::process::Child>) {
         let handle = WorkerHandle {
             conn,
             child,
@@ -1157,14 +1178,12 @@ impl DistRun {
             debug_assert_eq!(self.workers.len(), w as usize);
             self.workers.push(handle);
         }
-        Ok(())
     }
 
-    /// Sends Init (with this worker's retained seeds) and waits for Ready.
-    /// The injected kill plan is delivered only while unconsumed.
-    fn init_worker(&mut self, w: u32) -> Result<(), EulerError> {
-        let kill = self.cfg.plan.kill.filter(|_| !self.kill_consumed);
-        let init = InitMsg {
+    /// Worker `w`'s Init settings. The injected kill plan is delivered only
+    /// while unconsumed.
+    fn init_msg(&self, w: u32) -> InitMsg {
+        InitMsg {
             worker_id: w,
             num_workers: self.cfg.num_workers as u32,
             strategy: self.strategy,
@@ -1172,35 +1191,47 @@ impl DistRun {
             phase1_threads: self.cfg.phase1_threads,
             worker_threads: self.cfg.worker_threads,
             heartbeat_interval: self.cfg.policy.heartbeat_interval,
-            kill,
+            kill: self.cfg.plan.kill.filter(|_| !self.kill_consumed),
             kill_mode: match self.cfg.spawn {
                 WorkerSpawn::Threads => KillMode::Exit,
                 WorkerSpawn::Processes { .. } => KillMode::Stall,
             },
             checkpoint_dir: self.cfg.checkpoint_dir.clone(),
-            tree: self.tree.as_ref().clone(),
-            seeds: self.seeds_by_worker[w as usize].clone(),
-        };
-        let conn = Arc::clone(&self.workers[w as usize].conn);
-        conn.send(kind::INIT, &words_to_bytes(&encode_init(&init)))
-            .map_err(|e| EulerError::Distributed(format!("init of worker {w} failed: {e}")))?;
-        let (k, payload) = conn
-            .recv_timeout(Some(Duration::from_secs(30)))
-            .map_err(|e| EulerError::Distributed(format!("worker {w} not ready: {e}")))?;
-        if k != kind::READY {
-            return Err(EulerError::Distributed(format!(
-                "worker {w} answered Init with frame kind {k}"
-            )));
         }
-        let words = bytes_to_words(&payload).map_err(EulerError::Distributed)?;
-        let ckpt0 = words.first().copied().unwrap_or(0);
-        if ckpt0 > 0 {
-            self.recovery.checkpoints_written += 1;
-            self.recovery.checkpoint_longs_written += ckpt0;
+    }
+
+    /// Sends every worker in `ws` its Init (with its retained seeds), then
+    /// waits for all their Readys under one 30 s deadline.
+    fn init_workers(&mut self, ws: &[u32]) -> Result<(), EulerError> {
+        let mut payload = Vec::new();
+        for &w in ws {
+            let seeds = &self.seeds_by_worker[w as usize];
+            encode_init(&self.init_msg(w), &self.tree, seeds, &mut payload);
+            self.workers[w as usize]
+                .conn
+                .send(kind::INIT, &payload)
+                .map_err(|e| EulerError::Distributed(format!("init of worker {w} failed: {e}")))?;
+        }
+        let deadline = Instant::now() + Duration::from_secs(30);
+        for &w in ws {
+            let left = deadline.saturating_duration_since(Instant::now());
+            let (k, payload) = self.workers[w as usize]
+                .conn
+                .recv_timeout(Some(left.max(Duration::from_millis(1))))
+                .map_err(|e| EulerError::Distributed(format!("worker {w} not ready: {e}")))?;
+            if k != kind::READY {
+                return Err(EulerError::Distributed(format!(
+                    "worker {w} answered Init with frame kind {k}"
+                )));
+            }
+            let [ckpt0] = read_words(&payload).map_err(EulerError::Distributed)?;
+            if ckpt0 > 0 {
+                self.recovery.checkpoints_written += 1;
+                self.recovery.checkpoint_longs_written += ckpt0;
+            }
         }
         Ok(())
     }
-
     fn start_receiver(&mut self, w: u32) {
         let h = &self.workers[w as usize];
         let conn = Arc::clone(&h.conn);
@@ -1227,9 +1258,10 @@ impl DistRun {
         self.workers[w as usize].recv_handle = Some(handle);
     }
 
-    /// Coordinator→worker send with bounded retry, plus the scripted
-    /// drop/delay injection (counted over Start frames).
-    fn send_start(&mut self, w: u32, payload: &[u8]) -> Result<(), FrameError> {
+    /// Coordinator→worker send of worker `w`'s retained Start with bounded
+    /// retry, plus the scripted drop/delay injection (counted over Start
+    /// frames).
+    fn send_start(&mut self, w: u32) -> Result<(), FrameError> {
         let seq = self.start_seq;
         self.start_seq += 1;
         if self.cfg.plan.drop_nth_send == Some(seq) {
@@ -1240,7 +1272,8 @@ impl DistRun {
                 std::thread::sleep(d);
             }
         }
-        let conn = Arc::clone(&self.workers[w as usize].conn);
+        let conn = &self.workers[w as usize].conn;
+        let payload = &self.inbox[w as usize];
         let mut last = FrameError::Closed;
         for attempt in 0..=self.cfg.policy.send_retries {
             match conn.send(kind::START, payload) {
@@ -1268,9 +1301,8 @@ impl DistRun {
             let t_level = Instant::now();
             let mut deaths: Vec<u32> = Vec::new();
             for w in 0..self.cfg.num_workers as u32 {
-                let payload = words_to_bytes(&encode_start(level, &self.inbox[w as usize]));
                 self.workers[w as usize].last_heard = Instant::now();
-                if self.send_start(w, &payload).is_err() {
+                if self.send_start(w).is_err() {
                     deaths.push(w);
                 }
             }
@@ -1289,10 +1321,10 @@ impl DistRun {
             if deaths.is_empty() {
                 deaths = self.wait_barrier(level)?.err().unwrap_or_default();
                 if deaths.is_empty() {
-                    // Barrier complete: re-collect the Done set (stored by
-                    // wait_barrier) and commit.
+                    // Barrier complete: commit the Done set stored by
+                    // wait_barrier.
                     let dones = std::mem::take(&mut self.pending_dones);
-                    return Ok(self.commit(level, dones, record, t_level.elapsed()));
+                    return self.commit(level, dones, record, t_level.elapsed());
                 }
             }
             self.recover(level, &deaths)?;
@@ -1300,8 +1332,8 @@ impl DistRun {
     }
 
     /// Waits until every worker answered Done for `level` or died.
-    /// `Ok(Ok(()))` leaves the Done set in `pending_dones`; `Ok(Err(dead))`
-    /// lists the deceased.
+    /// `Ok(Ok(()))` leaves the Done payloads in `pending_dones`;
+    /// `Ok(Err(dead))` lists the deceased.
     fn wait_barrier(&mut self, level: u32) -> Result<Result<(), Vec<u32>>, EulerError> {
         let mut pending: Vec<bool> = vec![true; self.cfg.num_workers];
         let mut deaths: Vec<u32> = Vec::new();
@@ -1315,12 +1347,18 @@ impl DistRun {
                     self.workers[worker as usize].last_heard = Instant::now();
                     match k {
                         kind::DONE => {
-                            let words =
-                                bytes_to_words(&payload).map_err(EulerError::Distributed)?;
-                            let done = decode_done(&words).map_err(EulerError::Distributed)?;
-                            if done.superstep == level && pending[worker as usize] {
+                            // Only the superstep is read here; the payload is
+                            // decoded once, when the barrier commits.
+                            let superstep = WordReader::new(&payload)
+                                .and_then(|mut r| r.word())
+                                .map_err(|e| {
+                                    EulerError::Distributed(format!(
+                                        "Done of worker {worker} is malformed: {e}"
+                                    ))
+                                })?;
+                            if superstep == u64::from(level) && pending[worker as usize] {
                                 pending[worker as usize] = false;
-                                self.pending_dones.push((worker, done));
+                                self.pending_dones.push((worker, payload));
                             }
                         }
                         kind::HEARTBEAT | kind::BYE | kind::RESTORE_ACK
@@ -1369,26 +1407,34 @@ impl DistRun {
         Ok(if deaths.is_empty() { Ok(()) } else { Err(deaths) })
     }
 
-    /// Commits a completed barrier: routes shipped states into the next
-    /// superstep's inboxes, stores fragments, accounts stats, and (when
-    /// `record`) assembles the level outcome.
+    /// Commits a completed barrier: decodes each Done once, routes shipped
+    /// states into the next superstep's Start payloads, stores fragments,
+    /// accounts stats, and (when `record`) assembles the level outcome. A
+    /// Done that does not decode fails the run.
     fn commit(
         &mut self,
         level: u32,
-        mut dones: Vec<(u32, DoneMsg)>,
+        mut dones: Vec<(u32, Vec<u8>)>,
         record: bool,
         wall: Duration,
-    ) -> Option<LevelOutcome> {
+    ) -> Result<Option<LevelOutcome>, EulerError> {
         dones.sort_by_key(|(w, _)| *w);
+        let mut decoded = Vec::with_capacity(dones.len());
+        for (w, payload) in &dones {
+            let done = decode_done(payload).map_err(|e| {
+                EulerError::Distributed(format!("Done of worker {w} did not decode: {e}"))
+            })?;
+            decoded.push((*w, done));
+        }
         let mut stats = SuperstepStats::new(level);
         stats.wall_time = wall;
-        let mut next_inbox: Vec<Vec<Vec<u64>>> = vec![Vec::new(); self.cfg.num_workers];
-        let mut frags: Vec<(u64, Vec<u64>)> = Vec::new();
+        let mut routes: Vec<Vec<&[u8]>> = vec![Vec::new(); self.cfg.num_workers];
+        let mut frags: Vec<Fragment> = Vec::new();
         let mut outcome = LevelOutcome::default();
-        for (w, done) in &mut dones {
-            for (to, words) in std::mem::take(&mut done.outgoing) {
+        for (w, done) in &mut decoded {
+            for &(to, state) in &done.outgoing {
                 let dst = owner(to, self.cfg.num_workers);
-                let bytes = 8 * words.len() as u64;
+                let bytes = state.len() as u64;
                 if dst == *w as usize {
                     stats.local_messages += 1;
                     stats.local_bytes += bytes;
@@ -1396,7 +1442,7 @@ impl DistRun {
                     stats.remote_messages += 1;
                     stats.remote_bytes += bytes;
                 }
-                next_inbox[dst].push(words);
+                routes[dst].push(state);
             }
             frags.append(&mut done.fragments);
             if done.checkpoint_longs > 0 {
@@ -1414,19 +1460,22 @@ impl DistRun {
             outcome.transfer_longs += done.transfer_longs;
             outcome.reports.append(&mut done.reports);
         }
+        // The committed barrier's Starts are spent: their buffers take the
+        // next superstep's.
+        for (start, states) in self.inbox.iter_mut().zip(&routes) {
+            encode_start(level + 1, states, start);
+        }
         outcome.reports.sort_by_key(|r| r.partition);
         stats.active_partitions = outcome.reports.len();
         stats.per_partition_compute.sort_by_key(|(p, _)| *p);
         self.committed_frags.insert(level, frags);
-        self.inbox = next_inbox;
         if record {
             self.superstep_stats.push(stats);
-            Some(outcome)
+            Ok(Some(outcome))
         } else {
-            None
+            Ok(None)
         }
     }
-
     /// Recovers from worker deaths detected during `level`: rollback +
     /// respawn + restore when checkpoints exist, full deterministic replay
     /// otherwise.
@@ -1476,23 +1525,22 @@ impl DistRun {
         deaths: &[u32],
     ) -> Result<bool, EulerError> {
         let mut ok = true;
+        let restore = word_payload(&[level as u64]);
         // Survivors first: they are idle after the broken barrier.
         for w in 0..self.cfg.num_workers as u32 {
             if deaths.contains(&w) {
                 continue;
             }
-            let conn = Arc::clone(&self.workers[w as usize].conn);
-            if conn.send(kind::RESTORE, &words_to_bytes(&[level as u64])).is_err() {
+            if self.workers[w as usize].conn.send(kind::RESTORE, &restore).is_err() {
                 ok = false;
                 continue;
             }
             ok &= self.await_restore_ack(w, level)?;
         }
+        self.spawn_workers(deaths)?;
+        self.init_workers(deaths)?;
         for &w in deaths {
-            self.spawn_worker(w)?;
-            self.init_worker(w)?;
-            let conn = Arc::clone(&self.workers[w as usize].conn);
-            if conn.send(kind::RESTORE, &words_to_bytes(&[level as u64])).is_err() {
+            if self.workers[w as usize].conn.send(kind::RESTORE, &restore).is_err() {
                 ok = false;
             } else {
                 ok &= self.await_restore_ack_direct(w, level)?;
@@ -1500,6 +1548,32 @@ impl DistRun {
             self.start_receiver(w);
         }
         Ok(ok)
+    }
+
+    /// Books a RESTORE_ACK / RESTORE_FAILED answer for `level`; returns
+    /// whether the restore succeeded. Other frames are ignored (`None`).
+    fn restore_answer(
+        &mut self,
+        k: u16,
+        payload: &[u8],
+        level: u32,
+    ) -> Result<Option<bool>, EulerError> {
+        match k {
+            kind::RESTORE_ACK => {
+                let [superstep, longs] = read_words(payload).map_err(EulerError::Distributed)?;
+                if superstep != u64::from(level) {
+                    return Ok(None); // a stale answer for another superstep
+                }
+                self.recovery.checkpoint_longs_restored += longs;
+                Ok(Some(true))
+            }
+            kind::RESTORE_FAILED => {
+                let [_, ignored] = read_words(payload).map_err(EulerError::Distributed)?;
+                self.recovery.checkpoints_ignored += ignored;
+                Ok(Some(false))
+            }
+            _ => Ok(None),
+        }
     }
 
     /// Restore acknowledgement for a worker whose receiver thread is live
@@ -1511,24 +1585,10 @@ impl DistRun {
                 Ok(Event::Frame { worker, epoch, kind: k, payload })
                     if worker == w && self.workers[w as usize].epoch == epoch =>
                 {
-                    match k {
-                        kind::RESTORE_ACK => {
-                            let words =
-                                bytes_to_words(&payload).map_err(EulerError::Distributed)?;
-                            if words.first() == Some(&(level as u64)) {
-                                self.recovery.checkpoint_longs_restored +=
-                                    words.get(1).copied().unwrap_or(0);
-                                return Ok(true);
-                            }
-                        }
-                        kind::RESTORE_FAILED => {
-                            let words =
-                                bytes_to_words(&payload).map_err(EulerError::Distributed)?;
-                            self.recovery.checkpoints_ignored +=
-                                words.get(1).copied().unwrap_or(0);
-                            return Ok(false);
-                        }
-                        _ => {} // stale Done/heartbeat from the broken barrier
+                    // Anything else is a stale Done/heartbeat from the broken
+                    // barrier.
+                    if let Some(restored) = self.restore_answer(k, &payload, level)? {
+                        return Ok(restored);
                     }
                 }
                 Ok(Event::Dead { worker, epoch })
@@ -1551,23 +1611,11 @@ impl DistRun {
     /// Restore acknowledgement read directly off a fresh connection (the
     /// respawned worker's receiver thread starts only afterwards).
     fn await_restore_ack_direct(&mut self, w: u32, level: u32) -> Result<bool, EulerError> {
-        let conn = Arc::clone(&self.workers[w as usize].conn);
-        match conn.recv_timeout(Some(self.cfg.policy.heartbeat_timeout)) {
-            Ok((kind::RESTORE_ACK, payload)) => {
-                let words = bytes_to_words(&payload).map_err(EulerError::Distributed)?;
-                if words.first() == Some(&(level as u64)) {
-                    self.recovery.checkpoint_longs_restored +=
-                        words.get(1).copied().unwrap_or(0);
-                    return Ok(true);
-                }
-                Ok(false)
-            }
-            Ok((kind::RESTORE_FAILED, payload)) => {
-                let words = bytes_to_words(&payload).map_err(EulerError::Distributed)?;
-                self.recovery.checkpoints_ignored += words.get(1).copied().unwrap_or(0);
-                Ok(false)
-            }
-            _ => Ok(false),
+        let answer =
+            self.workers[w as usize].conn.recv_timeout(Some(self.cfg.policy.heartbeat_timeout));
+        match answer {
+            Ok((k, payload)) => Ok(self.restore_answer(k, &payload, level)?.unwrap_or(false)),
+            Err(_) => Ok(false),
         }
     }
 
@@ -1577,15 +1625,9 @@ impl DistRun {
     /// consumed them).
     fn full_restart(&mut self, level: u32, deaths: &[u32]) -> Result<(), EulerError> {
         self.recovery.full_restarts += 1;
-        for &w in deaths {
-            self.spawn_worker(w)?;
-            self.init_worker(w)?;
-            self.start_receiver(w);
-        }
-        for w in 0..self.cfg.num_workers as u32 {
-            if deaths.contains(&w) {
-                continue;
-            }
+        let survivors: Vec<u32> =
+            (0..self.cfg.num_workers as u32).filter(|w| !deaths.contains(w)).collect();
+        for &w in &survivors {
             // Restart the receiver under a new epoch so frames of the
             // abandoned barrier cannot leak into the replay. The old
             // receiver is *joined* (it exits within one poll interval)
@@ -1598,17 +1640,22 @@ impl DistRun {
             }
             h.epoch += 1;
             h.stop_rx = Arc::new(AtomicBool::new(false));
-            self.init_worker(w)?;
+        }
+        self.spawn_workers(deaths)?;
+        let all: Vec<u32> = (0..self.cfg.num_workers as u32).collect();
+        self.init_workers(&all)?;
+        for w in all {
             self.start_receiver(w);
         }
-        self.inbox = vec![Vec::new(); self.cfg.num_workers];
+        for start in &mut self.inbox {
+            encode_start(0, &[], start);
+        }
         for ss in 0..level {
             self.run_superstep(ss, false)?;
         }
         Ok(())
     }
 }
-
 impl Drop for DistRun {
     fn drop(&mut self) {
         self.finish();
@@ -1623,7 +1670,11 @@ fn owner(slot: u32, num_workers: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fragment::encode_fragment;
+    use crate::state::{LocalEdge, RemoteRef};
+    use euler_graph::{EdgeId, VertexId};
     use proptest::prelude::*;
+    use std::sync::{Mutex, OnceLock};
 
     fn tiny_tree() -> MergeTree {
         MergeTree {
@@ -1649,9 +1700,37 @@ mod tests {
             kill: None,
             kill_mode: KillMode::Exit,
             checkpoint_dir: dir,
-            tree: tiny_tree(),
-            seeds: Vec::new(),
         }
+    }
+
+    fn sample_state(id: u32) -> WorkingPartition {
+        WorkingPartition {
+            id: PartitionId(id),
+            leaves: vec![PartitionId(id)],
+            level: 0,
+            local_edges: vec![
+                LocalEdge { edge: EdgeRef::Real(EdgeId(7)), u: VertexId(1), v: VertexId(2) },
+                LocalEdge {
+                    edge: EdgeRef::Virtual(FragmentId(prov_id(0, id, 3))),
+                    u: VertexId(2),
+                    v: VertexId(1),
+                },
+            ],
+            remote_edges: vec![RemoteRef {
+                edge: EdgeId(9),
+                local: VertexId(1),
+                remote: VertexId(40),
+                local_leaf: PartitionId(id),
+                remote_leaf: PartitionId(id + 1),
+            }],
+            isolated_vertices: 2,
+        }
+    }
+
+    fn encoded(wp: &WorkingPartition) -> Vec<u8> {
+        let mut out = Vec::new();
+        wire::encode(wp, &mut out);
+        out
     }
 
     fn scratch(tag: &str) -> PathBuf {
@@ -1666,24 +1745,29 @@ mod tests {
         let dir = Some(PathBuf::from("/tmp/ckpts"));
         let mut m = test_init(dir.clone());
         m.kill = Some((3, 2));
-        m.seeds = vec![vec![1, 2, 3], vec![], vec![u64::MAX]];
-        let got = decode_init(&encode_init(&m)).unwrap();
+        let seeds = vec![sample_state(0), sample_state(2)];
+        let mut payload = Vec::new();
+        encode_init(&m, &tiny_tree(), &seeds, &mut payload);
+        let (got, tree, got_seeds) = decode_init(&payload).unwrap();
         assert_eq!(got.worker_id, m.worker_id);
         assert_eq!(got.kill, m.kill);
         assert_eq!(got.checkpoint_dir, dir);
-        assert_eq!(got.seeds, m.seeds);
-        assert_eq!(got.tree.leaves, m.tree.leaves);
-        assert_eq!(got.tree.levels, m.tree.levels);
+        assert_eq!(tree.leaves, tiny_tree().leaves);
+        assert_eq!(tree.levels, tiny_tree().levels);
+        assert_eq!(
+            got_seeds.iter().map(encoded).collect::<Vec<_>>(),
+            seeds.iter().map(encoded).collect::<Vec<_>>()
+        );
     }
 
     #[test]
     fn missing_checkpoint_refusal_is_not_ignored() {
         // Checkpointing disabled → refusal without "ignored" (nothing was
         // found and discarded); same for an enabled dir with no file yet.
-        let mut s = WorkerState::build(test_init(None)).unwrap();
+        let mut s = WorkerState::build(test_init(None), tiny_tree(), Vec::new());
         assert!(!s.restore(0).unwrap_err().ignored);
         let dir = scratch("missing");
-        let mut s = WorkerState::build(test_init(Some(dir.clone()))).unwrap();
+        let mut s = WorkerState::build(test_init(Some(dir.clone())), tiny_tree(), Vec::new());
         assert!(!s.restore(0).unwrap_err().ignored);
         std::fs::remove_dir_all(dir).ok();
     }
@@ -1691,7 +1775,7 @@ mod tests {
     #[test]
     fn torn_checkpoint_is_detected_and_ignored_at_restore() {
         let dir = scratch("torn");
-        let mut s = WorkerState::build(test_init(Some(dir.clone()))).unwrap();
+        let mut s = WorkerState::build(test_init(Some(dir.clone())), tiny_tree(), Vec::new());
         assert!(s.write_ckpt(0, &[]) > 0);
         assert!(s.restore(0).is_ok(), "pristine checkpoint must restore");
         // Tear the file mid-payload, as a crash during a (non-atomic) write
@@ -1706,7 +1790,7 @@ mod tests {
     #[test]
     fn foreign_version_checkpoint_is_detected_and_ignored_at_restore() {
         let dir = scratch("version");
-        let mut s = WorkerState::build(test_init(Some(dir.clone()))).unwrap();
+        let mut s = WorkerState::build(test_init(Some(dir.clone())), tiny_tree(), Vec::new());
         assert!(s.write_ckpt(1, &[]) > 0);
         // Word 1 of the container is the format version; stamp a future one.
         let path = checkpoint_file(&dir, 0, 1);
@@ -1720,7 +1804,7 @@ mod tests {
     #[test]
     fn corrupted_checkpoint_payload_is_detected_and_ignored_at_restore() {
         let dir = scratch("corrupt");
-        let mut s = WorkerState::build(test_init(Some(dir.clone()))).unwrap();
+        let mut s = WorkerState::build(test_init(Some(dir.clone())), tiny_tree(), Vec::new());
         assert!(s.write_ckpt(2, &[]) > 0);
         let path = checkpoint_file(&dir, 0, 2);
         let mut bytes = std::fs::read(&path).unwrap();
@@ -1729,6 +1813,230 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert!(s.restore(2).unwrap_err().ignored);
         std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// Largest single allocation made on the current thread while a closure
+    /// runs — the probe behind "a decoder never reserves more than its
+    /// payload".
+    mod alloc_probe {
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        thread_local! {
+            static LARGEST: Cell<usize> = const { Cell::new(0) };
+        }
+
+        fn note(size: usize) {
+            let _ = LARGEST.try_with(|m| m.set(m.get().max(size)));
+        }
+
+        pub struct Probe;
+
+        // SAFETY: every method forwards to the system allocator with the
+        // caller's arguments unchanged; the only addition is a thread-local
+        // high-water mark of requested sizes, which never allocates.
+        unsafe impl GlobalAlloc for Probe {
+            // SAFETY: same contract as `GlobalAlloc::alloc`, forwarded.
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                note(layout.size());
+                // SAFETY: the caller upholds `alloc`'s contract.
+                unsafe { System.alloc(layout) }
+            }
+
+            // SAFETY: same contract as `GlobalAlloc::alloc_zeroed`, forwarded.
+            unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+                note(layout.size());
+                // SAFETY: the caller upholds `alloc_zeroed`'s contract.
+                unsafe { System.alloc_zeroed(layout) }
+            }
+
+            // SAFETY: same contract as `GlobalAlloc::dealloc`, forwarded.
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+                unsafe { System.dealloc(ptr, layout) }
+            }
+
+            // SAFETY: same contract as `GlobalAlloc::realloc`, forwarded.
+            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+                note(new_size);
+                // SAFETY: `ptr` came from `System` with `layout`.
+                unsafe { System.realloc(ptr, layout, new_size) }
+            }
+        }
+
+        /// Runs `f`, returning its result and the largest allocation it made.
+        pub fn largest_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
+            LARGEST.with(|m| m.set(0));
+            let r = f();
+            (r, LARGEST.with(Cell::get))
+        }
+    }
+
+    #[global_allocator]
+    static PROBE: alloc_probe::Probe = alloc_probe::Probe;
+
+    /// The allowed ratio of a decoder's largest allocation to its payload.
+    /// Decoded forms may outgrow their wire form — at worst a 24-byte `Vec`
+    /// per 8-byte count word (empty merge-tree levels) — but no allocation
+    /// may be sized by an unchecked count.
+    const ALLOC_RATIO: usize = 3;
+    /// Error messages may allocate a little even for a tiny payload.
+    const ALLOC_SLACK: usize = 1024;
+
+    /// Every frame sent, as `(kind, payload)`.
+    type Frames = Arc<Mutex<Vec<(u16, Vec<u8>)>>>;
+
+    /// A [`Transport`] over [`euler_bsp::MemTransport`] that records every
+    /// frame sent.
+    struct Recorder {
+        frames: Frames,
+    }
+
+    struct RecordingListener {
+        inner: Box<dyn Listener>,
+        frames: Frames,
+    }
+
+    struct RecordingConnection {
+        inner: Box<dyn Connection>,
+        frames: Frames,
+    }
+
+    impl Connection for RecordingConnection {
+        fn send(&self, kind: u16, payload: &[u8]) -> Result<(), FrameError> {
+            self.frames.lock().unwrap().push((kind, payload.to_vec()));
+            self.inner.send(kind, payload)
+        }
+
+        fn recv_timeout(&self, timeout: Option<Duration>) -> Result<(u16, Vec<u8>), FrameError> {
+            self.inner.recv_timeout(timeout)
+        }
+    }
+
+    impl Listener for RecordingListener {
+        fn endpoint(&self) -> String {
+            self.inner.endpoint()
+        }
+
+        fn accept(&self, timeout: Duration) -> Result<Box<dyn Connection>, FrameError> {
+            let inner = self.inner.accept(timeout)?;
+            Ok(Box::new(RecordingConnection { inner, frames: Arc::clone(&self.frames) }))
+        }
+    }
+
+    impl Transport for Recorder {
+        fn name(&self) -> &'static str {
+            "recording-mem"
+        }
+
+        fn listen(&self) -> Result<Box<dyn Listener>, FrameError> {
+            let inner = euler_bsp::MemTransport.listen()?;
+            Ok(Box::new(RecordingListener { inner, frames: Arc::clone(&self.frames) }))
+        }
+
+        fn connect(&self, endpoint: &str) -> Result<Box<dyn Connection>, FrameError> {
+            let inner = euler_bsp::MemTransport.connect(endpoint)?;
+            Ok(Box::new(RecordingConnection { inner, frames: Arc::clone(&self.frames) }))
+        }
+    }
+
+    /// Real payloads of every decoder, taken from an 8-part torus run on
+    /// two workers over the in-memory transport.
+    struct Corpus {
+        inits: Vec<Vec<u8>>,
+        starts: Vec<Vec<u8>>,
+        dones: Vec<Vec<u8>>,
+        states: Vec<Vec<u8>>,
+        fragments: Vec<Vec<u8>>,
+    }
+
+    fn corpus() -> &'static Corpus {
+        static CORPUS: OnceLock<Corpus> = OnceLock::new();
+        CORPUS.get_or_init(|| {
+            let frames = Arc::new(Mutex::new(Vec::new()));
+            let g = euler_gen::synthetic::torus_grid(12, 12);
+            crate::EulerPipeline::builder()
+                .graph(&g)
+                .partitioner(euler_partition::HashPartitioner::new(8))
+                .backend(
+                    crate::BspBackend::with_engine(euler_bsp::BspConfig::with_workers(2))
+                        .with_transport(Arc::new(Recorder { frames: Arc::clone(&frames) })),
+                )
+                .build()
+                .unwrap()
+                .run()
+                .unwrap();
+            let frames = std::mem::take(&mut *frames.lock().unwrap());
+            let of = |k: u16| -> Vec<Vec<u8>> {
+                frames.iter().filter(|(fk, _)| *fk == k).map(|(_, p)| p.clone()).collect()
+            };
+            let (inits, starts, dones) = (of(kind::INIT), of(kind::START), of(kind::DONE));
+            let mut states: Vec<Vec<u8>> = Vec::new();
+            for init in &inits {
+                states.extend(decode_init(init).unwrap().2.iter().map(encoded));
+            }
+            for start in &starts {
+                states.extend(decode_start(start).unwrap().1.iter().map(|s| s.to_vec()));
+            }
+            let mut fragments = Vec::new();
+            for done in &dones {
+                for f in decode_done(done).unwrap().fragments {
+                    let mut rec = Vec::new();
+                    encode_fragment(&f, &mut rec);
+                    fragments.push(rec);
+                }
+            }
+            Corpus { inits, starts, dones, states, fragments }
+        })
+    }
+
+    /// Flips a byte anywhere, flips a byte of the first 8 words (where
+    /// every decoder reads its leading counts), truncates, or appends
+    /// words, by `op`.
+    fn mutate(payload: &[u8], op: u64, at: u64, noise: u64) -> Vec<u8> {
+        let mut out = payload.to_vec();
+        match op % 4 {
+            0 | 3 if !out.is_empty() => {
+                let span = if op % 4 == 3 { out.len().min(64) } else { out.len() };
+                let i = (at % span as u64) as usize;
+                out[i] ^= (noise as u8).max(1);
+            }
+            1 => out.truncate((at % (out.len() as u64 + 1)) as usize),
+            _ => {
+                for k in 0..=noise % 8 {
+                    out.extend_from_slice(&noise.rotate_left(8 * k as u32).to_le_bytes());
+                }
+            }
+        }
+        out
+    }
+
+    fn pick(items: &[Vec<u8>], which: u64) -> &[u8] {
+        &items[(which % items.len() as u64) as usize]
+    }
+
+    #[test]
+    fn the_corpus_covers_every_decoder_and_decodes() {
+        let c = corpus();
+        for (name, items) in [
+            ("init", &c.inits),
+            ("start", &c.starts),
+            ("done", &c.dones),
+            ("state", &c.states),
+            ("fragment", &c.fragments),
+        ] {
+            assert!(!items.is_empty(), "no {name} payloads captured");
+        }
+        assert_eq!(c.inits.len(), 2, "one Init per worker");
+        assert!(c.starts.iter().any(|s| !decode_start(s).unwrap().1.is_empty()));
+        for s in &c.states {
+            assert_eq!(encoded(&wire::decode(s).unwrap()), *s);
+        }
+        for f in &c.fragments {
+            let mut rec = Vec::new();
+            encode_fragment(&decode_fragment(FragmentId(0), f).unwrap(), &mut rec);
+            assert_eq!(rec, *f);
+        }
     }
 
     proptest! {
@@ -1740,10 +2048,13 @@ mod tests {
             superstep in 0u64..1000,
             msgs in prop::collection::vec(prop::collection::vec(0u64..1_000_000, 0..12), 0..6),
         ) {
-            let words = encode_start(superstep as u32, &msgs);
-            let (ss, got) = decode_start(&words).unwrap();
+            let msgs: Vec<Vec<u8>> = msgs.iter().map(|m| word_payload(m)).collect();
+            let slices: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
+            let mut payload = Vec::new();
+            encode_start(superstep as u32, &slices, &mut payload);
+            let (ss, got) = decode_start(&payload).unwrap();
             prop_assert_eq!(ss, superstep as u32);
-            prop_assert_eq!(got, msgs);
+            prop_assert_eq!(got, slices);
         }
 
         /// Decoding random garbage words returns a typed error or a
@@ -1752,9 +2063,77 @@ mod tests {
         fn protocol_decoders_never_panic_on_garbage(
             words in prop::collection::vec(0u64..u64::MAX, 0..40),
         ) {
-            let _ = decode_init(&words);
-            let _ = decode_start(&words);
-            let _ = decode_done(&words);
+            let payload = word_payload(&words);
+            let _ = decode_init(&payload);
+            let _ = decode_start(&payload);
+            let _ = decode_done(&payload);
+            let _ = wire::decode(&payload);
+            let _ = decode_fragment(FragmentId(0), &payload);
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every decoder past the trust boundary, fed a real payload with a
+        /// flipped byte, a truncation or appended words, returns `Ok` or a
+        /// typed error — no panic — and makes no allocation larger than a
+        /// small multiple of the payload (plus a constant for error text).
+        #[test]
+        fn mutated_real_payloads_yield_typed_errors_without_over_allocating(
+            which in any::<u64>(),
+            op in 0u64..4,
+            at in any::<u64>(),
+            noise in any::<u64>(),
+        ) {
+            let c = corpus();
+            let check = |name: &str, payload: &[u8], decode: &dyn Fn(&[u8]) -> bool| {
+                let mutated = mutate(payload, op, at, noise);
+                let (_, largest) = alloc_probe::largest_during(|| decode(&mutated));
+                assert!(
+                    largest <= ALLOC_RATIO * mutated.len() + ALLOC_SLACK,
+                    "{name}: a {}-byte payload allocated {largest} bytes",
+                    mutated.len()
+                );
+            };
+            check("init", pick(&c.inits, which), &|p| decode_init(p).is_ok());
+            check("start", pick(&c.starts, which), &|p| decode_start(p).is_ok());
+            check("done", pick(&c.dones, which), &|p| decode_done(p).is_ok());
+            check("state", pick(&c.states, which), &|p| wire::decode(p).is_ok());
+            check("fragment", pick(&c.fragments, which), &|p| {
+                decode_fragment(FragmentId(0), p).is_ok()
+            });
+        }
+    }
+
+    /// Checkpoint restore reads real worker state (a captured Init, one
+    /// superstep run) back through a mutated payload: `Ok` or a refusal,
+    /// never a panic, no allocation beyond a small multiple of the file.
+    #[test]
+    fn restore_of_a_mutated_real_checkpoint_is_refused_or_ok() {
+        let dir = scratch("mutated");
+        let (mut init, tree, seeds) = decode_init(&corpus().inits[0]).unwrap();
+        init.checkpoint_dir = Some(dir.clone());
+        let mut st = WorkerState::build(init, tree, seeds);
+        st.superstep(0, &[], &mut Vec::new()).unwrap();
+        let path = checkpoint_file(&dir, 0, 1);
+        let pristine = read_checkpoint(&path).unwrap();
+        assert!(st.restore(1).is_ok(), "the pristine checkpoint restores");
+        let mut rng = proptest::TestRng::for_case("restore_mutations", 0);
+        for case in 0..96 {
+            let mut payload = mutate(&pristine, case, rng.next_u64(), rng.next_u64());
+            payload.truncate(payload.len() / 8 * 8); // the container holds whole words
+            write_checkpoint(&path, &payload).unwrap();
+            let file_len = std::fs::metadata(&path).unwrap().len() as usize;
+            let (result, largest) = alloc_probe::largest_during(|| st.restore(1));
+            assert!(
+                largest <= ALLOC_RATIO * file_len + ALLOC_SLACK,
+                "{file_len}-byte file allocated {largest}"
+            );
+            if let Err(refusal) = result {
+                assert!(refusal.ignored, "a present but unusable checkpoint is ignored");
+            }
+        }
+        std::fs::remove_dir_all(dir).ok();
     }
 }

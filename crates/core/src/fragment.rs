@@ -20,6 +20,7 @@
 //! bit-identical circuits; the spill backing additionally reports its real
 //! traffic in [`FragmentStoreStats`].
 
+use euler_bsp::{WordReader, WordWriter};
 use euler_graph::{EdgeId, LocalIndex, PartitionId, VertexId};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -491,46 +492,66 @@ impl PartialOrd for EvictEntry {
     }
 }
 
-/// Flat `u64` record of one fragment in the spill file:
+/// Flat word record of one fragment in the spill file:
 /// `[kind, level, partition, n]` then `n` tour edges of
-/// `[tag, id, from, to]` (tag 0 = real, 1 = virtual). The id is not stored —
-/// the index knows it. The distributed worker reuses this record as its
-/// checkpoint/shipping format for fragments, hence the crate visibility.
-pub(crate) fn encode_fragment(f: &Fragment, out: &mut Vec<u64>) {
-    out.clear();
-    out.reserve(4 + 4 * f.edges.len());
-    out.push(match f.kind {
+/// `[tag, id, from, to]` (tag 0 = real, 1 = virtual), little-endian. The id
+/// is not stored — the index knows it. The distributed worker reuses this
+/// record as its checkpoint/shipping format for fragments, hence the crate
+/// visibility. Appends to `out`.
+pub(crate) fn encode_fragment(f: &Fragment, out: &mut Vec<u8>) {
+    encode_fragment_remapped(f, |id| id, out);
+}
+
+/// [`encode_fragment`] with every fragment id the record names passed
+/// through `remap` — the distributed worker's provisional renaming, applied
+/// while encoding instead of on a clone.
+pub(crate) fn encode_fragment_remapped(
+    f: &Fragment,
+    remap: impl Fn(FragmentId) -> FragmentId,
+    out: &mut Vec<u8>,
+) {
+    out.reserve(8 * (4 + 4 * f.edges.len()));
+    let kind = match f.kind {
         FragmentKind::Path => 0,
         FragmentKind::Cycle => 1,
-    });
-    out.push(f.level as u64);
-    out.push(f.partition.0 as u64);
-    out.push(f.edges.len() as u64);
+    };
+    out.put_words(&[kind, f.level as u64, f.partition.0 as u64, f.edges.len() as u64]);
     for e in &f.edges {
-        match *e {
-            TourEdge::Real { edge, from, to } => {
-                out.extend_from_slice(&[0, edge.0, from.0, to.0]);
-            }
-            TourEdge::Virtual { fragment, from, to } => {
-                out.extend_from_slice(&[1, fragment.0, from.0, to.0]);
-            }
-        }
+        out.put_words(&match *e {
+            TourEdge::Real { edge, from, to } => [0, edge.0, from.0, to.0],
+            TourEdge::Virtual { fragment, from, to } => [1, remap(fragment).0, from.0, to.0],
+        });
     }
 }
 
-pub(crate) fn decode_fragment(id: FragmentId, words: &[u64]) -> Fragment {
-    let kind = if words[0] == 0 { FragmentKind::Path } else { FragmentKind::Cycle };
-    let n = words[3] as usize;
-    let mut edges = Vec::with_capacity(n);
-    for rec in words[4..4 + 4 * n].chunks_exact(4) {
-        let (from, to) = (VertexId(rec[2]), VertexId(rec[3]));
-        edges.push(if rec[0] == 0 {
-            TourEdge::Real { edge: EdgeId(rec[1]), from, to }
-        } else {
-            TourEdge::Virtual { fragment: FragmentId(rec[1]), from, to }
+/// Decodes one record written by [`encode_fragment`], in place. Records
+/// reach this from worker Done frames and checkpoint files, so every read
+/// is checked: a truncated, padded or garbled record is a typed error,
+/// and the edge vector is sized only after its words are known present.
+pub(crate) fn decode_fragment(id: FragmentId, record: &[u8]) -> Result<Fragment, String> {
+    let mut r = WordReader::new(record)?;
+    let kind = match r.word()? {
+        0 => FragmentKind::Path,
+        1 => FragmentKind::Cycle,
+        t => return Err(format!("unknown fragment kind {t}")),
+    };
+    let level = u32::try_from(r.word()?).map_err(|_| "fragment level overflows u32")?;
+    let partition = u32::try_from(r.word()?).map_err(|_| "fragment partition overflows u32")?;
+    let n = usize::try_from(r.word()?).map_err(|_| "fragment edge count overflows usize")?;
+    let words = n.checked_mul(4).ok_or("fragment edge count overflows")?;
+    let (recs, _) = r.words(words)?.as_chunks::<4>();
+    r.finish()?;
+    let mut edges = Vec::with_capacity(recs.len());
+    for rec in recs {
+        let [tag, idv, from, to] = rec.map(u64::from_le_bytes);
+        let (from, to) = (VertexId(from), VertexId(to));
+        edges.push(match tag {
+            0 => TourEdge::Real { edge: EdgeId(idv), from, to },
+            1 => TourEdge::Virtual { fragment: FragmentId(idv), from, to },
+            t => return Err(format!("unknown tour edge tag {t}")),
         });
     }
-    Fragment { id, kind, level: words[1] as u32, partition: PartitionId(words[2] as u32), edges }
+    Ok(Fragment { id, kind, level, partition: PartitionId(partition), edges })
 }
 
 /// Distinguishes concurrently-live spill files of one process.
@@ -605,7 +626,6 @@ struct SpillBacking {
     accounting: Accounting,
     stats: FragmentStoreStats,
     /// Reusable encode/IO scratch.
-    words: Vec<u64>,
     bytes: Vec<u8>,
 }
 
@@ -631,7 +651,6 @@ impl SpillBacking {
             broken: false,
             accounting: Accounting::default(),
             stats: FragmentStoreStats::default(),
-            words: Vec::new(),
             bytes: Vec::new(),
         }
     }
@@ -699,15 +718,10 @@ impl SpillBacking {
     /// extent when one fits, else appended at the end — returning its
     /// location.
     fn write_record(&mut self, fragment: &Fragment) -> std::io::Result<Loc> {
-        let mut words = std::mem::take(&mut self.words);
-        encode_fragment(fragment, &mut words);
         let mut bytes = std::mem::take(&mut self.bytes);
         bytes.clear();
-        bytes.reserve(8 * words.len());
-        for w in &words {
-            bytes.extend_from_slice(&w.to_le_bytes());
-        }
-        let need = words.len() as u64;
+        encode_fragment(fragment, &mut bytes);
+        let need = bytes.len() as u64 / 8;
         let reused = self.alloc_extent(need);
         let offset = reused.unwrap_or(self.file_end);
         let out = (|| {
@@ -727,7 +741,6 @@ impl SpillBacking {
             (Err(_), Some(o)) => self.free_record(o, need),
             (Err(_), None) => {}
         }
-        self.words = words;
         self.bytes = bytes;
         out
     }
@@ -741,11 +754,8 @@ impl SpillBacking {
             file.seek(SeekFrom::Start(offset)).expect("spill file seek");
             file.read_exact(&mut bytes).expect("spill file read");
         }
-        let mut ws = std::mem::take(&mut self.words);
-        ws.clear();
-        ws.extend(bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())));
-        let fragment = decode_fragment(id, &ws);
-        self.words = ws;
+        let fragment =
+            decode_fragment(id, &bytes).expect("a spill record decodes as the store wrote it");
         self.bytes = bytes;
         fragment
     }

@@ -468,9 +468,14 @@ impl ExecutionBackend for InProcessBackend {
                 continue;
             };
             let child = st.states.swap_remove(child_idx);
-            // Locate the parent after the swap_remove above.
-            let parent_idx =
-                st.states.iter().position(|s| s.id == pair.parent).expect("parent present");
+            // Locate the parent after the swap_remove above; it is gone only
+            // when the pair merges a partition into itself.
+            let Some(parent_idx) = st.states.iter().position(|s| s.id == pair.parent) else {
+                return Err(EulerError::InvalidConfig(format!(
+                    "merge pair {} <- {} at level {level} merges a partition into itself",
+                    pair.parent.0, pair.child.0
+                )));
+            };
             let parent = st.states.swap_remove(parent_idx);
             let shipped = transfer_longs(&child, tree, level, strategy);
             shipped_total += shipped;
@@ -497,84 +502,106 @@ impl ExecutionBackend for InProcessBackend {
 // BSP backend (euler-bsp engine).
 // ---------------------------------------------------------------------------
 
-/// Wire encoding of a [`WorkingPartition`] as a flat u64 sequence, used for
-/// the byte-accounted transfers of the BSP backend and the distributed
-/// coordinator/worker protocol ([`crate::distributed`]).
+/// Wire encoding of a [`WorkingPartition`] as little-endian u64 words, used
+/// for the byte-accounted transfers of the BSP backend and the distributed
+/// coordinator/worker protocol ([`crate::distributed`]):
+///
+/// ```text
+/// [id, level, isolated_vertices, n_local, n_remote, n_leaves]
+/// n_leaves  × [leaf]
+/// n_local   × [tag (0 real, 1 virtual), id, u, v]
+/// n_remote  × [edge, local, remote, local_leaf, remote_leaf]
+/// ```
 pub(crate) mod wire {
     use super::*;
     use crate::fragment::FragmentId;
     use crate::state::{EdgeRef, LocalEdge, RemoteRef};
+    use euler_bsp::{WordReader, WordWriter};
     use euler_graph::{EdgeId, VertexId};
 
-    pub fn encode(wp: &WorkingPartition) -> Vec<u64> {
-        let mut out = Vec::with_capacity(6 + wp.leaves.len() + 4 * wp.local_edges.len() + 5 * wp.remote_edges.len());
-        out.push(wp.id.0 as u64);
-        out.push(wp.level as u64);
-        out.push(wp.isolated_vertices);
-        out.push(wp.local_edges.len() as u64);
-        out.push(wp.remote_edges.len() as u64);
-        out.push(wp.leaves.len() as u64);
+    /// Appends the encoding of `wp` to `out`.
+    pub fn encode(wp: &WorkingPartition, out: &mut Vec<u8>) {
+        out.reserve(
+            8 * (6 + wp.leaves.len() + 4 * wp.local_edges.len() + 5 * wp.remote_edges.len()),
+        );
+        out.put_words(&[
+            wp.id.0 as u64,
+            wp.level as u64,
+            wp.isolated_vertices,
+            wp.local_edges.len() as u64,
+            wp.remote_edges.len() as u64,
+            wp.leaves.len() as u64,
+        ]);
         for l in &wp.leaves {
-            out.push(l.0 as u64);
+            out.put_word(l.0 as u64);
         }
         for e in &wp.local_edges {
-            match e.edge {
-                EdgeRef::Real(id) => {
-                    out.push(0);
-                    out.push(id.0);
-                }
-                EdgeRef::Virtual(id) => {
-                    out.push(1);
-                    out.push(id.0);
-                }
-            }
-            out.push(e.u.0);
-            out.push(e.v.0);
+            let (tag, id) = match e.edge {
+                EdgeRef::Real(id) => (0, id.0),
+                EdgeRef::Virtual(id) => (1, id.0),
+            };
+            out.put_words(&[tag, id, e.u.0, e.v.0]);
         }
         for r in &wp.remote_edges {
-            out.push(r.edge.0);
-            out.push(r.local.0);
-            out.push(r.remote.0);
-            out.push(r.local_leaf.0 as u64);
-            out.push(r.remote_leaf.0 as u64);
+            out.put_words(&[
+                r.edge.0,
+                r.local.0,
+                r.remote.0,
+                r.local_leaf.0 as u64,
+                r.remote_leaf.0 as u64,
+            ]);
         }
-        out
     }
 
-    pub fn decode(data: &[u64]) -> WorkingPartition {
-        let mut i = 0usize;
-        let mut next = || {
-            let v = data[i];
-            i += 1;
-            v
+    fn partition_id(w: u64) -> Result<PartitionId, String> {
+        u32::try_from(w).map(PartitionId).map_err(|_| format!("partition id {w} overflows u32"))
+    }
+
+    /// Decodes a state in place. The bytes come from other processes
+    /// (Init seeds, Start inboxes) or disk (checkpoints), so every read is
+    /// checked and every vector is sized only after its words are known
+    /// present: garbage is a typed error, never a panic or an oversized
+    /// reservation.
+    pub fn decode(payload: &[u8]) -> Result<WorkingPartition, String> {
+        let mut r = WordReader::new(payload)?;
+        let id = partition_id(r.word()?)?;
+        let level = u32::try_from(r.word()?).map_err(|_| "state level overflows u32")?;
+        let isolated_vertices = r.word()?;
+        let mut count = || -> Result<usize, String> {
+            usize::try_from(r.word()?).map_err(|_| "state count overflows usize".to_string())
         };
-        let id = PartitionId(next() as u32);
-        let level = next() as u32;
-        let isolated_vertices = next();
-        let n_local = next() as usize;
-        let n_remote = next() as usize;
-        let n_leaves = next() as usize;
-        let leaves = (0..n_leaves).map(|_| PartitionId(next() as u32)).collect();
-        let mut local_edges = Vec::with_capacity(n_local);
-        for _ in 0..n_local {
-            let tag = next();
-            let idv = next();
-            let u = VertexId(next());
-            let v = VertexId(next());
-            let edge = if tag == 0 { EdgeRef::Real(EdgeId(idv)) } else { EdgeRef::Virtual(FragmentId(idv)) };
-            local_edges.push(LocalEdge { edge, u, v });
+        let (n_local, n_remote, n_leaves) = (count()?, count()?, count()?);
+        let leaves = r
+            .words(n_leaves)?
+            .iter()
+            .map(|w| partition_id(u64::from_le_bytes(*w)))
+            .collect::<Result<Vec<_>, _>>()?;
+        let overflow = || "state edge count overflows".to_string();
+        let (locals, _) = r.words(n_local.checked_mul(4).ok_or_else(overflow)?)?.as_chunks::<4>();
+        let mut local_edges = Vec::with_capacity(locals.len());
+        for rec in locals {
+            let [tag, idv, u, v] = rec.map(u64::from_le_bytes);
+            let edge = match tag {
+                0 => EdgeRef::Real(EdgeId(idv)),
+                1 => EdgeRef::Virtual(FragmentId(idv)),
+                t => return Err(format!("unknown local edge tag {t}")),
+            };
+            local_edges.push(LocalEdge { edge, u: VertexId(u), v: VertexId(v) });
         }
-        let mut remote_edges = Vec::with_capacity(n_remote);
-        for _ in 0..n_remote {
+        let (remotes, _) = r.words(n_remote.checked_mul(5).ok_or_else(overflow)?)?.as_chunks::<5>();
+        let mut remote_edges = Vec::with_capacity(remotes.len());
+        for rec in remotes {
+            let [edge, local, remote, local_leaf, remote_leaf] = rec.map(u64::from_le_bytes);
             remote_edges.push(RemoteRef {
-                edge: EdgeId(next()),
-                local: VertexId(next()),
-                remote: VertexId(next()),
-                local_leaf: PartitionId(next() as u32),
-                remote_leaf: PartitionId(next() as u32),
+                edge: EdgeId(edge),
+                local: VertexId(local),
+                remote: VertexId(remote),
+                local_leaf: partition_id(local_leaf)?,
+                remote_leaf: partition_id(remote_leaf)?,
             });
         }
-        WorkingPartition { id, leaves, level, local_edges, remote_edges, isolated_vertices }
+        r.finish()?;
+        Ok(WorkingPartition { id, leaves, level, local_edges, remote_edges, isolated_vertices })
     }
 }
 
@@ -589,6 +616,9 @@ enum DistState {
 struct Ledger {
     reports: Vec<LevelPartitionReport>,
     transfer_longs: u64,
+    /// The first shipped state that failed to decode, surfaced by
+    /// `run_level` as an error.
+    error: Option<String>,
 }
 
 /// The partition program executing the walk on the engine: superstep `L`
@@ -627,9 +657,14 @@ impl euler_bsp::PartitionProgram for DistProgram {
         let mut merge_time = Duration::ZERO;
         let mut transfer_in = 0u64;
         for m in &messages {
-            let decoded = ctx.time("create_partition_object", || {
-                wire::decode(&euler_bsp::message::codec::decode_u64s(&m.payload))
-            });
+            let decoded =
+                match ctx.time("create_partition_object", || wire::decode(m.payload.as_slice())) {
+                    Ok(decoded) => decoded,
+                    Err(e) => {
+                        self.ledger.lock().error.get_or_insert(e);
+                        continue;
+                    }
+                };
             transfer_in +=
                 transfer_longs(&decoded, &self.tree, level.saturating_sub(1), self.strategy);
             let current = std::mem::take(wp.as_mut());
@@ -698,7 +733,9 @@ impl euler_bsp::PartitionProgram for DistProgram {
                 self.ledger.lock().transfer_longs += shipped;
                 let parent = pair.parent;
                 let payload = ctx.time("copy_source_partition", || {
-                    euler_bsp::message::codec::encode_u64s(&wire::encode(wp))
+                    let mut payload = Vec::new();
+                    wire::encode(wp, &mut payload);
+                    payload
                 });
                 let from = ctx.partition;
                 *state = DistState::Retired;
@@ -858,8 +895,8 @@ impl ExecutionBackend for BspBackend {
     }
 
     fn run_level(&self, work: LevelWork<'_>) -> Result<LevelOutcome, EulerError> {
-        if self.transport.is_some() {
-            return self.run_level_distributed(work);
+        if let Some(transport) = &self.transport {
+            return self.run_level_distributed(transport, work);
         }
         let mut slot = self.run.borrow_mut();
         if let Some(seed) = work.seed {
@@ -884,18 +921,24 @@ impl ExecutionBackend for BspBackend {
             };
             *slot = Some(euler_bsp::StepRun::new(self.engine, program, initial));
         }
-        let run = slot.as_mut().expect("the pipeline seeds the backend at level 0");
+        let run = slot.as_mut().ok_or_else(|| unseeded(work.level))?;
         let ran = run.step();
         // An empty partition set legitimately has nothing to step; otherwise
         // a refused step means the engine's superstep bound cut the walk
         // short — surface that instead of silently skipping the level.
-        assert!(
-            ran || run.num_partitions() == 0,
-            "BSP engine stopped (superstep bound {} reached?) before merge level {} ran",
-            self.engine.max_supersteps,
-            work.level
-        );
+        if !ran && run.num_partitions() > 0 {
+            return Err(EulerError::InvalidConfig(format!(
+                "BSP engine stopped (superstep bound {} reached) before merge level {} ran",
+                self.engine.max_supersteps, work.level
+            )));
+        }
         let mut ledger = std::mem::take(&mut *run.program().ledger.lock());
+        if let Some(e) = ledger.error {
+            return Err(EulerError::Distributed(format!(
+                "a shipped partition state did not decode at level {}: {e}",
+                work.level
+            )));
+        }
         // Worker threads race on the ledger; restore engine-slot order.
         ledger.reports.sort_by_key(|r| r.partition);
         debug_assert!(ledger.reports.iter().all(|r| r.level == work.level));
@@ -919,8 +962,11 @@ impl BspBackend {
     /// seed → spawn and initialise the worker fleet, per level → one wire
     /// barrier, last level → flush the committed fragments into the walk's
     /// store and shut the fleet down.
-    fn run_level_distributed(&self, work: LevelWork<'_>) -> Result<LevelOutcome, EulerError> {
-        let transport = self.transport.as_ref().expect("checked by caller");
+    fn run_level_distributed(
+        &self,
+        transport: &Arc<dyn euler_bsp::Transport>,
+        work: LevelWork<'_>,
+    ) -> Result<LevelOutcome, EulerError> {
         let mut dist = self.dist.borrow_mut();
         if let Some(seed) = work.seed {
             let spawn = if self.process_workers {
@@ -960,10 +1006,10 @@ impl BspBackend {
                 cfg,
                 Arc::clone(work.tree),
                 work.config.merge_strategy,
-                &seed,
+                seed,
             )?);
         }
-        let run = dist.as_mut().expect("the pipeline seeds the backend at level 0");
+        let run = dist.as_mut().ok_or_else(|| unseeded(work.level))?;
         let outcome = run.step(work.level)?;
         if work.level + 1 == work.tree.num_supersteps() {
             // Root level done: materialise the committed fragments into the
@@ -975,6 +1021,14 @@ impl BspBackend {
         }
         Ok(outcome)
     }
+}
+
+/// The error of a backend asked to run a level before the level-0 seed
+/// created its run.
+fn unseeded(level: u32) -> EulerError {
+    EulerError::InvalidConfig(format!(
+        "the backend was asked to run merge level {level} before a level-0 seed started its run"
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -2018,18 +2072,52 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "superstep bound")]
     fn bsp_backend_surfaces_an_exhausted_superstep_bound() {
         // 4 partitions need 3 merge levels; a 1-superstep engine bound must
-        // fail loudly instead of silently skipping levels.
+        // fail as a typed error instead of silently skipping levels (or
+        // panicking).
         let g = synthetic::torus_grid(8, 8);
-        let _ = builder_for(&g, 4)
+        let err = builder_for(&g, 4)
             .backend(BspBackend::with_engine(
                 euler_bsp::BspConfig::one_worker_per_partition().with_max_supersteps(1),
             ))
             .build()
             .unwrap()
-            .run();
+            .run()
+            .unwrap_err();
+        assert!(
+            matches!(&err, EulerError::InvalidConfig(msg) if msg.contains("superstep bound")),
+            "unexpected error: {err}"
+        );
+    }
+
+    #[test]
+    fn a_backend_run_before_its_seed_is_an_error() {
+        let tree = Arc::new(MergeTree {
+            levels: vec![vec![MergePair {
+                parent: PartitionId(0),
+                child: PartitionId(1),
+                weight: 1,
+            }]],
+            root: PartitionId(0),
+            leaves: vec![PartitionId(0), PartitionId(1)],
+        });
+        let store = FragmentStore::new();
+        let config = EulerConfig::default();
+        for backend in [
+            Box::new(BspBackend::new()) as Box<dyn ExecutionBackend>,
+            Box::new(BspBackend::new().with_transport(Arc::new(euler_bsp::MemTransport))),
+        ] {
+            let work = LevelWork {
+                level: 0,
+                tree: &tree,
+                pairs: tree.pairs_at(0),
+                store: &store,
+                config: &config,
+                seed: None,
+            };
+            assert!(matches!(backend.run_level(work), Err(EulerError::InvalidConfig(_))));
+        }
     }
 
     #[test]

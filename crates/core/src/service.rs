@@ -28,10 +28,11 @@
 //!
 //! ## Wire protocol
 //!
-//! The service speaks the PR 6 frame codec (`euler_bsp::transport` — magic,
-//! version, kind, length, FNV-1a checksum) over TCP; the payload of every
-//! frame is a little-endian `u64` word array. Frame kinds are documented in
-//! [`frame_kind`]; the request lifecycle is
+//! The service speaks the frame codec of `euler_bsp::transport` (magic,
+//! version, kind, length, word-fold checksum) over TCP; the payload of
+//! every frame is a little-endian `u64` word array, written with
+//! [`WordWriter`] and read in place with the bounded [`WordReader`].
+//! Frame kinds are documented in [`frame_kind`]; the request lifecycle is
 //! `REGISTER → REGISTERED`, then per run
 //! `RUN → ACCEPTED → PROGRESS* → REPORT? → CHUNK* → DONE`
 //! (or `CANCELLED` / `ERROR`). Malformed *payloads* get typed
@@ -51,8 +52,10 @@ use crate::merge_strategy::MergeStrategy;
 use crate::phase1::Parallelism;
 use crate::phase3::{CircuitResult, CircuitStep};
 use crate::pipeline::{run_on_partitioned_cancellable, InProcessBackend, RunReport};
-use euler_bsp::transport::Connection;
-use euler_bsp::{connect_endpoint, FrameError, TcpTransport, Transport};
+use euler_bsp::transport::{word_payload, Connection};
+use euler_bsp::{
+    connect_endpoint, FrameError, PayloadError, TcpTransport, Transport, WordReader, WordWriter,
+};
 use euler_graph::{CsrFileEdgeStream, EdgeId, GraphRegistry, RegisteredGraph, VertexId};
 use euler_partition::{HashPartitioner, LdgPartitioner, StreamingPartitioner};
 use std::collections::HashMap;
@@ -107,93 +110,6 @@ pub mod error_code {
     pub const REGISTER_FAILED: u64 = 3;
     /// The pipeline run itself failed (non-Eulerian input, …).
     pub const RUN_FAILED: u64 = 4;
-}
-
-// ---------------------------------------------------------------------------
-// Word-payload codec (mirrors the distributed-run protocol's idiom:
-// bounded cursor, typed failures, never a panic on wire input).
-// ---------------------------------------------------------------------------
-
-fn words_to_bytes(words: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 * words.len());
-    for w in words {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
-    out
-}
-
-fn bytes_to_words(bytes: &[u8]) -> Result<Vec<u64>, String> {
-    if !bytes.len().is_multiple_of(8) {
-        return Err(format!("payload length {} is not word-aligned", bytes.len()));
-    }
-    Ok(bytes
-        .chunks_exact(8)
-        .filter_map(|c| c.try_into().ok().map(u64::from_le_bytes))
-        .collect())
-}
-
-/// Bounded sequential reader over a word payload with typed failures.
-struct Cursor<'a> {
-    words: &'a [u64],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(words: &'a [u64]) -> Self {
-        Cursor { words, at: 0 }
-    }
-
-    fn u(&mut self) -> Result<u64, String> {
-        let v = self
-            .words
-            .get(self.at)
-            .copied()
-            .ok_or_else(|| format!("service payload truncated at word {}", self.at))?;
-        self.at += 1;
-        Ok(v)
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u64], String> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&e| e <= self.words.len())
-            .ok_or_else(|| format!("service payload truncated: need {n} words at {}", self.at))?;
-        let s = self
-            .words
-            .get(self.at..end)
-            .ok_or_else(|| format!("service payload truncated: need {n} words at {}", self.at))?;
-        self.at = end;
-        Ok(s)
-    }
-
-    /// Clamps a wire-declared element count to what the remaining payload
-    /// could hold, so `Vec::with_capacity` on garbage input cannot
-    /// over-allocate — decoding then fails with a truncation error instead.
-    fn cap(&self, n: usize) -> usize {
-        n.min(self.words.len().saturating_sub(self.at))
-    }
-}
-
-fn push_str(out: &mut Vec<u64>, s: &str) {
-    let bytes = s.as_bytes();
-    out.push(bytes.len() as u64);
-    for chunk in bytes.chunks(8) {
-        let mut w = [0u8; 8];
-        w[..chunk.len()].copy_from_slice(chunk);
-        out.push(u64::from_le_bytes(w));
-    }
-}
-
-fn read_str(c: &mut Cursor<'_>) -> Result<String, String> {
-    let n = c.u()? as usize;
-    let words = c.take(n.div_ceil(8))?;
-    let mut bytes = Vec::with_capacity(n);
-    for w in words {
-        bytes.extend_from_slice(&w.to_le_bytes());
-    }
-    bytes.truncate(n);
-    String::from_utf8(bytes).map_err(|e| format!("bad utf8 in service string: {e}"))
 }
 
 // ---------------------------------------------------------------------------
@@ -265,24 +181,24 @@ fn decode_partitioner(code: u64) -> Result<PartitionerKind, String> {
     }
 }
 
-fn encode_run(checksum: u64, opts: &RunOptions) -> Vec<u64> {
-    vec![
+fn encode_run(checksum: u64, opts: &RunOptions) -> Vec<u8> {
+    word_payload(&[
         checksum,
         u64::from(opts.partitions),
         strategy_code(opts.strategy),
         partitioner_code(opts.partitioner),
-    ]
+    ])
 }
 
-fn decode_run(words: &[u64]) -> Result<(u64, RunOptions), String> {
-    let mut c = Cursor::new(words);
-    let checksum = c.u()?;
-    let partitions = u32::try_from(c.u()?).map_err(|_| "partition count overflows u32")?;
+fn decode_run(payload: &[u8]) -> Result<(u64, RunOptions), String> {
+    let mut r = WordReader::new(payload)?;
+    let checksum = r.word()?;
+    let partitions = u32::try_from(r.word()?).map_err(|_| "partition count overflows u32")?;
     if partitions == 0 {
         return Err("partition count must be at least 1".into());
     }
-    let strategy = decode_strategy(c.u()?)?;
-    let partitioner = decode_partitioner(c.u()?)?;
+    let strategy = decode_strategy(r.word()?)?;
+    let partitioner = decode_partitioner(r.word()?)?;
     Ok((checksum, RunOptions { partitions, strategy, partitioner }))
 }
 
@@ -478,8 +394,8 @@ pub struct ServiceStats {
 }
 
 impl ServiceStats {
-    fn encode(&self) -> Vec<u64> {
-        vec![
+    fn encode(&self) -> Vec<u8> {
+        word_payload(&[
             self.memory_cap_longs,
             self.admitted_longs,
             self.peak_admitted_longs,
@@ -487,19 +403,19 @@ impl ServiceStats {
             self.runs_cached,
             self.runs_cancelled,
             self.graphs_registered,
-        ]
+        ])
     }
 
-    fn decode(words: &[u64]) -> Result<Self, String> {
-        let mut c = Cursor::new(words);
+    fn decode(payload: &[u8]) -> Result<Self, PayloadError> {
+        let mut r = WordReader::new(payload)?;
         Ok(ServiceStats {
-            memory_cap_longs: c.u()?,
-            admitted_longs: c.u()?,
-            peak_admitted_longs: c.u()?,
-            runs_executed: c.u()?,
-            runs_cached: c.u()?,
-            runs_cancelled: c.u()?,
-            graphs_registered: c.u()?,
+            memory_cap_longs: r.word()?,
+            admitted_longs: r.word()?,
+            peak_admitted_longs: r.word()?,
+            runs_executed: r.word()?,
+            runs_cached: r.word()?,
+            runs_cancelled: r.word()?,
+            graphs_registered: r.word()?,
         })
     }
 }
@@ -522,23 +438,23 @@ pub struct RunSummary {
 }
 
 impl RunSummary {
-    fn encode(&self) -> Vec<u64> {
-        vec![
+    fn encode(&self) -> Vec<u8> {
+        word_payload(&[
             u64::from(self.supersteps),
             self.transfer_longs,
             self.peak_resident_longs,
             self.estimated_longs,
             self.measured_longs,
-        ]
+        ])
     }
 
-    fn decode(c: &mut Cursor<'_>) -> Result<Self, String> {
+    fn decode(r: &mut WordReader<'_>) -> Result<Self, PayloadError> {
         Ok(RunSummary {
-            supersteps: c.u()? as u32,
-            transfer_longs: c.u()?,
-            peak_resident_longs: c.u()?,
-            estimated_longs: c.u()?,
-            measured_longs: c.u()?,
+            supersteps: r.word()? as u32,
+            transfer_longs: r.word()?,
+            peak_resident_longs: r.word()?,
+            estimated_longs: r.word()?,
+            measured_longs: r.word()?,
         })
     }
 }
@@ -743,9 +659,9 @@ impl Drop for EulerService {
 // ---------------------------------------------------------------------------
 
 fn send_error(conn: &dyn Connection, code: u64, message: &str) -> Result<(), FrameError> {
-    let mut words = vec![code];
-    push_str(&mut words, message);
-    conn.send(frame_kind::ERROR, &words_to_bytes(&words))
+    let mut payload = word_payload(&[code]);
+    payload.put_str(message);
+    conn.send(frame_kind::ERROR, &payload)
 }
 
 /// Serves one client connection to completion. Payload-level failures are
@@ -764,9 +680,7 @@ fn serve_connection(inner: &Arc<ServiceInner>, conn: &dyn Connection) {
         let outcome = match kind {
             frame_kind::REGISTER => handle_register(inner, conn, &payload),
             frame_kind::RUN => handle_run(inner, conn, &payload),
-            frame_kind::STATS => {
-                conn.send(frame_kind::STATS_REPLY, &words_to_bytes(&inner.stats().encode()))
-            }
+            frame_kind::STATS => conn.send(frame_kind::STATS_REPLY, &inner.stats().encode()),
             // CANCEL with no run in flight is an idempotent no-op.
             frame_kind::CANCEL => conn.send(frame_kind::CANCELLED, &[]),
             other => {
@@ -784,14 +698,14 @@ fn handle_register(
     conn: &dyn Connection,
     payload: &[u8],
 ) -> Result<(), FrameError> {
-    let path = match bytes_to_words(payload).and_then(|w| read_str(&mut Cursor::new(&w))) {
+    let path = match WordReader::new(payload).and_then(|mut r| r.str()) {
         Ok(path) => path,
-        Err(e) => return send_error(conn, error_code::BAD_REQUEST, &e),
+        Err(e) => return send_error(conn, error_code::BAD_REQUEST, &e.to_string()),
     };
     match inner.registry.register(&path) {
         Ok(graph) => conn.send(
             frame_kind::REGISTERED,
-            &words_to_bytes(&[graph.checksum, graph.num_vertices(), graph.num_edges()]),
+            &word_payload(&[graph.checksum, graph.num_vertices(), graph.num_edges()]),
         ),
         Err(e) => send_error(conn, error_code::REGISTER_FAILED, &e.to_string()),
     }
@@ -807,7 +721,7 @@ fn handle_run(
     conn: &dyn Connection,
     payload: &[u8],
 ) -> Result<(), FrameError> {
-    let (checksum, opts) = match bytes_to_words(payload).and_then(|w| decode_run(&w)) {
+    let (checksum, opts) = match decode_run(payload) {
         Ok(req) => req,
         Err(e) => return send_error(conn, error_code::BAD_REQUEST, &e),
     };
@@ -821,7 +735,7 @@ fn handle_run(
     let key: CacheKey = (checksum, opts);
     if let Some(circuit) = inner.cached(&key) {
         inner.runs_cached.fetch_add(1, Ordering::Relaxed);
-        conn.send(frame_kind::ACCEPTED, &words_to_bytes(&[0, 1]))?;
+        conn.send(frame_kind::ACCEPTED, &word_payload(&[0, 1]))?;
         return stream_result(conn, &circuit, inner.config.chunk_steps);
     }
 
@@ -847,7 +761,7 @@ fn handle_run(
         match rx.recv_timeout(Duration::from_millis(2)) {
             Ok(ComputeEvent::Admitted { longs }) => {
                 if !client_gone
-                    && conn.send(frame_kind::ACCEPTED, &words_to_bytes(&[longs, 0])).is_err()
+                    && conn.send(frame_kind::ACCEPTED, &word_payload(&[longs, 0])).is_err()
                 {
                     client_gone = true;
                 }
@@ -861,8 +775,8 @@ fn handle_run(
         let progress = token.progress();
         if !client_gone && progress != last_progress && progress.1 > 0 {
             last_progress = progress;
-            let words = [u64::from(progress.0), u64::from(progress.1)];
-            if conn.send(frame_kind::PROGRESS, &words_to_bytes(&words)).is_err() {
+            let payload = word_payload(&[u64::from(progress.0), u64::from(progress.1)]);
+            if conn.send(frame_kind::PROGRESS, &payload).is_err() {
                 client_gone = true;
             }
         }
@@ -884,7 +798,7 @@ fn handle_run(
     }
     match finished {
         Ok((circuit, summary)) => {
-            conn.send(frame_kind::REPORT, &words_to_bytes(&summary.encode()))?;
+            conn.send(frame_kind::REPORT, &summary.encode())?;
             stream_result(conn, &circuit, inner.config.chunk_steps)
         }
         Err(EulerError::Cancelled) => conn.send(frame_kind::CANCELLED, &[]),
@@ -981,19 +895,21 @@ fn stream_result(
     let chunk_steps = chunk_steps.max(1);
     for (circuit_idx, circuit) in result.circuits.iter().enumerate() {
         for (chunk_idx, chunk) in circuit.chunks(chunk_steps).enumerate() {
-            let mut words = Vec::with_capacity(3 + 3 * chunk.len());
-            words.push(circuit_idx as u64);
-            words.push((chunk_idx * chunk_steps) as u64);
-            words.push(chunk.len() as u64);
+            let mut payload = Vec::with_capacity(8 * (3 + 3 * chunk.len()));
+            payload.put_words(&[
+                circuit_idx as u64,
+                (chunk_idx * chunk_steps) as u64,
+                chunk.len() as u64,
+            ]);
             for step in chunk {
-                words.extend_from_slice(&[step.edge.0, step.from.0, step.to.0]);
+                payload.put_words(&[step.edge.0, step.from.0, step.to.0]);
             }
-            conn.send(frame_kind::CHUNK, &words_to_bytes(&words))?;
+            conn.send(frame_kind::CHUNK, &payload)?;
         }
     }
     conn.send(
         frame_kind::DONE,
-        &words_to_bytes(&[result.circuits.len() as u64, result.total_edges()]),
+        &word_payload(&[result.circuits.len() as u64, result.total_edges()]),
     )
 }
 
@@ -1107,36 +1023,33 @@ pub struct RunOutcome {
     pub summary: Option<RunSummary>,
 }
 
-fn decode_event(kind: u16, words: &[u64]) -> Result<RunEvent, ServiceError> {
-    let mut c = Cursor::new(words);
+fn decode_event(kind: u16, payload: &[u8]) -> Result<RunEvent, ServiceError> {
+    let mut r = WordReader::new(payload)?;
     let event = match kind {
         frame_kind::ACCEPTED => {
-            RunEvent::Accepted { admitted_longs: c.u()?, cached: c.u()? != 0 }
+            RunEvent::Accepted { admitted_longs: r.word()?, cached: r.word()? != 0 }
         }
         frame_kind::PROGRESS => {
-            RunEvent::Progress { done: c.u()? as u32, total: c.u()? as u32 }
+            RunEvent::Progress { done: r.word()? as u32, total: r.word()? as u32 }
         }
-        frame_kind::REPORT => RunEvent::Report(RunSummary::decode(&mut c)?),
+        frame_kind::REPORT => RunEvent::Report(RunSummary::decode(&mut r)?),
         frame_kind::CHUNK => {
-            let circuit = c.u()? as usize;
-            let base = c.u()?;
-            let count = c.u()? as usize;
-            let mut steps = Vec::with_capacity(c.cap(count.saturating_mul(3)) / 3);
-            for _ in 0..count {
-                let &[edge, from, to] = c.take(3)? else {
-                    return Err(ServiceError::Protocol("chunk step: expected 3 words".into()));
-                };
-                steps.push(CircuitStep {
-                    edge: EdgeId(edge),
-                    from: VertexId(from),
-                    to: VertexId(to),
-                });
-            }
+            let circuit = r.word()? as usize;
+            let base = r.word()?;
+            let count = r.word()? as usize;
+            let (steps, _) = r.words(count.saturating_mul(3))?.as_chunks::<3>();
+            let steps = steps
+                .iter()
+                .map(|step| {
+                    let [edge, from, to] = step.map(u64::from_le_bytes);
+                    CircuitStep { edge: EdgeId(edge), from: VertexId(from), to: VertexId(to) }
+                })
+                .collect();
             RunEvent::Chunk { circuit, base, steps }
         }
-        frame_kind::DONE => RunEvent::Done { num_circuits: c.u()?, total_edges: c.u()? },
+        frame_kind::DONE => RunEvent::Done { num_circuits: r.word()?, total_edges: r.word()? },
         frame_kind::CANCELLED => RunEvent::Cancelled,
-        frame_kind::ERROR => return Err(decode_remote_error(&mut c)),
+        frame_kind::ERROR => return Err(decode_remote_error(&mut r)),
         other => {
             return Err(ServiceError::Protocol(format!("unexpected frame kind {other:#x}")))
         }
@@ -1144,15 +1057,21 @@ fn decode_event(kind: u16, words: &[u64]) -> Result<RunEvent, ServiceError> {
     Ok(event)
 }
 
-fn decode_remote_error(c: &mut Cursor<'_>) -> ServiceError {
-    let code = c.u().unwrap_or(0);
-    let message = read_str(c).unwrap_or_else(|_| "<unreadable error message>".into());
+fn decode_remote_error(r: &mut WordReader<'_>) -> ServiceError {
+    let code = r.word().unwrap_or(0);
+    let message = r.str().unwrap_or_else(|_| "<unreadable error message>".into());
     ServiceError::Remote { code, message }
 }
 
 impl From<String> for ServiceError {
     fn from(msg: String) -> Self {
         ServiceError::Protocol(msg)
+    }
+}
+
+impl From<PayloadError> for ServiceError {
+    fn from(e: PayloadError) -> Self {
+        ServiceError::Protocol(e.to_string())
     }
 }
 
@@ -1182,9 +1101,8 @@ impl ServiceClient {
         self
     }
 
-    fn recv(&self) -> Result<(u16, Vec<u64>), ServiceError> {
-        let (kind, bytes) = self.conn.recv_timeout(Some(self.recv_timeout))?;
-        Ok((kind, bytes_to_words(&bytes)?))
+    fn recv(&self) -> Result<(u16, Vec<u8>), ServiceError> {
+        Ok(self.conn.recv_timeout(Some(self.recv_timeout))?)
     }
 
     /// Registers the `.ecsr` file at `path` (a path on the *server's*
@@ -1194,18 +1112,16 @@ impl ServiceClient {
     /// [`ServiceError::Remote`] with [`error_code::REGISTER_FAILED`] when
     /// the server cannot open or verify the file.
     pub fn register(&self, path: &str) -> Result<GraphInfo, ServiceError> {
-        let mut words = Vec::new();
-        push_str(&mut words, path);
-        self.conn.send(frame_kind::REGISTER, &words_to_bytes(&words))?;
-        let (kind, words) = self.recv()?;
-        let mut c = Cursor::new(&words);
+        let mut request = Vec::new();
+        request.put_str(path);
+        self.conn.send(frame_kind::REGISTER, &request)?;
+        let (kind, payload) = self.recv()?;
+        let mut r = WordReader::new(&payload)?;
         match kind {
-            frame_kind::REGISTERED => Ok(GraphInfo {
-                checksum: c.u()?,
-                num_vertices: c.u()?,
-                num_edges: c.u()?,
-            }),
-            frame_kind::ERROR => Err(decode_remote_error(&mut c)),
+            frame_kind::REGISTERED => {
+                Ok(GraphInfo { checksum: r.word()?, num_vertices: r.word()?, num_edges: r.word()? })
+            }
+            frame_kind::ERROR => Err(decode_remote_error(&mut r)),
             other => Err(ServiceError::Protocol(format!(
                 "expected REGISTERED, got frame kind {other:#x}"
             ))),
@@ -1219,7 +1135,7 @@ impl ServiceClient {
     /// # Errors
     /// [`ServiceError::Transport`] when the request cannot be sent.
     pub fn start_run(&self, checksum: u64, opts: RunOptions) -> Result<(), ServiceError> {
-        self.conn.send(frame_kind::RUN, &words_to_bytes(&encode_run(checksum, &opts)))?;
+        self.conn.send(frame_kind::RUN, &encode_run(checksum, &opts))?;
         Ok(())
     }
 
@@ -1229,8 +1145,8 @@ impl ServiceClient {
     /// [`ServiceError::Remote`] for typed server failures,
     /// [`ServiceError::Transport`] for transport failures/timeouts.
     pub fn next_event(&self) -> Result<RunEvent, ServiceError> {
-        let (kind, words) = self.recv()?;
-        decode_event(kind, &words)
+        let (kind, payload) = self.recv()?;
+        decode_event(kind, &payload)
     }
 
     /// Asks the server to cancel the in-flight run. The stream then ends
@@ -1285,10 +1201,10 @@ impl ServiceClient {
     /// reply cannot be obtained or decoded.
     pub fn stats(&self) -> Result<ServiceStats, ServiceError> {
         self.conn.send(frame_kind::STATS, &[])?;
-        let (kind, words) = self.recv()?;
+        let (kind, payload) = self.recv()?;
         match kind {
-            frame_kind::STATS_REPLY => Ok(ServiceStats::decode(&words)?),
-            frame_kind::ERROR => Err(decode_remote_error(&mut Cursor::new(&words))),
+            frame_kind::STATS_REPLY => Ok(ServiceStats::decode(&payload)?),
+            frame_kind::ERROR => Err(decode_remote_error(&mut WordReader::new(&payload)?)),
             other => Err(ServiceError::Protocol(format!(
                 "expected STATS_REPLY, got frame kind {other:#x}"
             ))),
@@ -1307,8 +1223,8 @@ mod tests {
             RunOptions { partitions: 32, strategy: MergeStrategy::Deferred, partitioner: PartitionerKind::Ldg },
             RunOptions { partitions: 1, strategy: MergeStrategy::Deduplicated, partitioner: PartitionerKind::Hash },
         ] {
-            let words = encode_run(0xDEAD_BEEF, &opts);
-            let (checksum, back) = decode_run(&words).unwrap();
+            let payload = encode_run(0xDEAD_BEEF, &opts);
+            let (checksum, back) = decode_run(&payload).unwrap();
             assert_eq!(checksum, 0xDEAD_BEEF);
             assert_eq!(back, opts);
         }
@@ -1316,12 +1232,14 @@ mod tests {
 
     #[test]
     fn malformed_run_payloads_yield_typed_errors_not_panics() {
-        assert!(decode_run(&[]).is_err());
-        assert!(decode_run(&[1, 2]).is_err());
-        assert!(decode_run(&[9, 0, 0, 0]).is_err(), "zero partitions rejected");
-        assert!(decode_run(&[9, 4, 99, 0]).is_err(), "unknown strategy rejected");
-        assert!(decode_run(&[9, 4, 0, 99]).is_err(), "unknown partitioner rejected");
-        assert!(decode_run(&[9, u64::MAX, 0, 0]).is_err(), "partition overflow rejected");
+        let run = |words: &[u64]| decode_run(&word_payload(words));
+        assert!(run(&[]).is_err());
+        assert!(run(&[1, 2]).is_err());
+        assert!(run(&[9, 0, 0, 0]).is_err(), "zero partitions rejected");
+        assert!(run(&[9, 4, 99, 0]).is_err(), "unknown strategy rejected");
+        assert!(run(&[9, 4, 0, 99]).is_err(), "unknown partitioner rejected");
+        assert!(run(&[9, u64::MAX, 0, 0]).is_err(), "partition overflow rejected");
+        assert!(decode_run(&[1, 2, 3]).is_err(), "misaligned payload rejected");
     }
 
     #[test]
@@ -1347,22 +1265,25 @@ mod tests {
         ] {
             for len in 0..16 {
                 let words: Vec<u64> = (0..len).map(|_| rand()).collect();
-                let _ = decode_event(kinds, &words);
+                let _ = decode_event(kinds, &word_payload(&words));
             }
         }
         // Odd byte payloads fail word alignment with a typed error.
-        assert!(bytes_to_words(&[1, 2, 3]).is_err());
+        assert!(matches!(
+            decode_event(frame_kind::DONE, &[1, 2, 3]),
+            Err(ServiceError::Protocol(_))
+        ));
     }
 
     #[test]
     fn strings_roundtrip_and_reject_truncation() {
-        let mut words = Vec::new();
-        push_str(&mut words, "graphs/torus.ecsr");
-        let back = read_str(&mut Cursor::new(&words)).unwrap();
+        let mut payload = Vec::new();
+        payload.put_str("graphs/torus.ecsr");
+        let back = WordReader::new(&payload).unwrap().str().unwrap();
         assert_eq!(back, "graphs/torus.ecsr");
         // Declared length beyond the payload is a typed error.
-        let truncated = [100u64, 0x6162_6364];
-        assert!(read_str(&mut Cursor::new(&truncated)).is_err());
+        let truncated = word_payload(&[100, 0x6162_6364]);
+        assert!(WordReader::new(&truncated).unwrap().str().is_err());
     }
 
     #[test]
@@ -1431,7 +1352,7 @@ mod tests {
             graphs_registered: 7,
         };
         assert_eq!(ServiceStats::decode(&stats.encode()).unwrap(), stats);
-        assert!(ServiceStats::decode(&[1, 2]).is_err());
+        assert!(ServiceStats::decode(&word_payload(&[1, 2])).is_err());
         let summary = RunSummary {
             supersteps: 3,
             transfer_longs: 10,
@@ -1439,6 +1360,7 @@ mod tests {
             estimated_longs: 30,
             measured_longs: 40,
         };
-        assert_eq!(RunSummary::decode(&mut Cursor::new(&summary.encode())).unwrap(), summary);
+        let payload = summary.encode();
+        assert_eq!(RunSummary::decode(&mut WordReader::new(&payload).unwrap()).unwrap(), summary);
     }
 }
