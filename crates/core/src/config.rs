@@ -9,8 +9,15 @@ pub struct EulerConfig {
     /// Strategy for handling remote edges across merge levels (§5).
     pub merge_strategy: MergeStrategy,
     /// Run Phase 1 of the partitions at one level in parallel (rayon). The
-    /// paper's partitions execute concurrently on different machines; turning
-    /// this off makes runs easier to profile per partition.
+    /// paper's partitions execute concurrently on different machines.
+    ///
+    /// `false` ([`EulerConfig::sequential`]) runs them one at a time in
+    /// ascending partition-id order, which makes fragment ids — and so the
+    /// circuits — bit-deterministic and equal to a 1-worker BSP run's. The
+    /// service's circuit cache relies on this: a cached circuit and a fresh
+    /// recomputation of the same request are the same bytes. With `true`,
+    /// concurrent partitions interleave their fragment-store appends, so
+    /// only the circuits' validity and the transfer accounting are fixed.
     pub parallel_within_level: bool,
     /// Verify the reconstructed circuit against the input graph before
     /// returning (every edge exactly once, chained, closed).
@@ -84,7 +91,8 @@ impl EulerConfig {
         self
     }
 
-    /// Disables intra-level parallelism.
+    /// Disables intra-level parallelism: bit-deterministic fragment ids
+    /// (see [`EulerConfig::parallel_within_level`]).
     pub fn sequential(mut self) -> Self {
         self.parallel_within_level = false;
         self

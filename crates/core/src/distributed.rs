@@ -56,7 +56,7 @@ use crate::fragment::{
 };
 use crate::merge_strategy::MergeStrategy;
 use crate::merge_tree::{MergePair, MergeTree};
-use crate::phase1::{Parallelism, Phase1Executor};
+use crate::phase1::ArenaPool;
 use crate::phase2::merge_partitions;
 use crate::pipeline::{
     active_memory_longs, remote_needed_now, transfer_longs, wire, LevelOutcome,
@@ -187,9 +187,6 @@ struct InitMsg {
     worker_id: u32,
     num_workers: u32,
     strategy: MergeStrategy,
-    par_mode: Parallelism,
-    phase1_threads: usize,
-    worker_threads: usize, // 0 = unset
     heartbeat_interval: Duration,
     kill: Option<(u32, u32)>,
     kill_mode: KillMode,
@@ -206,13 +203,6 @@ fn encode_init(m: &InitMsg, tree: &MergeTree, seeds: &[WorkingPartition], out: &
         MergeStrategy::Deduplicated => 1,
         MergeStrategy::Deferred => 2,
     });
-    out.put_word(match m.par_mode {
-        Parallelism::PerPartition => 0,
-        Parallelism::IntraPartition => 1,
-        Parallelism::Auto => 2,
-    });
-    out.put_word(m.phase1_threads as u64);
-    out.put_word(m.worker_threads as u64);
     out.put_word(m.heartbeat_interval.as_nanos() as u64);
     match m.kill {
         Some((w, s)) => out.put_words(&[1, w as u64, s as u64]),
@@ -248,14 +238,6 @@ fn decode_init(payload: &[u8]) -> Result<(InitMsg, MergeTree, Vec<WorkingPartiti
         2 => MergeStrategy::Deferred,
         t => return Err(format!("unknown merge strategy tag {t}")),
     };
-    let par_mode = match r.word()? {
-        0 => Parallelism::PerPartition,
-        1 => Parallelism::IntraPartition,
-        2 => Parallelism::Auto,
-        t => return Err(format!("unknown parallelism tag {t}")),
-    };
-    let phase1_threads = r.word()? as usize;
-    let worker_threads = r.word()? as usize;
     let heartbeat_interval = Duration::from_nanos(r.word()?);
     let kill_flag = r.word()?;
     let kill_w = r.word()? as u32;
@@ -274,9 +256,6 @@ fn decode_init(payload: &[u8]) -> Result<(InitMsg, MergeTree, Vec<WorkingPartiti
         worker_id,
         num_workers,
         strategy,
-        par_mode,
-        phase1_threads,
-        worker_threads,
         heartbeat_interval,
         kill,
         kill_mode,
@@ -486,15 +465,15 @@ struct WorkerState {
     tree: Arc<MergeTree>,
     /// Active partition states, keyed by slot (= partition id).
     slots: BTreeMap<u32, WorkingPartition>,
-    executor: Phase1Executor,
+    /// Phase-1 scratch reused across this worker's partitions and levels.
+    pool: ArenaPool,
     kill_consumed: bool,
 }
 
 impl WorkerState {
     fn build(init: InitMsg, tree: MergeTree, seeds: Vec<WorkingPartition>) -> Self {
         let slots = seeds.into_iter().map(|wp| (wp.id.0, wp)).collect();
-        let executor = Phase1Executor::new(init.par_mode).with_threads(init.phase1_threads);
-        WorkerState { init, tree: Arc::new(tree), slots, executor, kill_consumed: false }
+        WorkerState { init, tree: Arc::new(tree), slots, pool: ArenaPool::new(), kill_consumed: false }
     }
 
     /// Writes the checkpoint entering `superstep`: the partition states plus
@@ -593,28 +572,9 @@ impl WorkerState {
             // --- Phase 1 on a fresh scratch store. -----------------------
             let memory = active_memory_longs(&wp, tree, level, strategy);
             let needed_now = remote_needed_now(&wp, tree, level);
-            let budget = if self.init.worker_threads > 0 {
-                self.init.worker_threads
-            } else {
-                self.executor.resolved_threads()
-            };
-            let threads = match self.executor.mode() {
-                Parallelism::PerPartition => 1,
-                Parallelism::IntraPartition => budget,
-                Parallelism::Auto => {
-                    let merged_below: usize =
-                        (0..level).map(|l| tree.pairs_at(l).len()).sum();
-                    let live = tree.leaves.len() - merged_below;
-                    if live < budget {
-                        budget
-                    } else {
-                        1
-                    }
-                }
-            };
             let scratch = FragmentStore::new();
             let t1 = Instant::now();
-            let out = self.executor.run_with_threads(&mut wp, &scratch, threads);
+            let out = self.pool.run_phase1(&mut wp, &scratch);
             let phase1_time = t1.elapsed();
 
             // New fragments were pushed with dense scratch ids 0..n; they
@@ -844,9 +804,6 @@ pub(crate) struct DistConfig {
     pub checkpoint_dir: Option<PathBuf>,
     pub policy: FaultPolicy,
     pub plan: FaultPlan,
-    pub par_mode: Parallelism,
-    pub phase1_threads: usize,
-    pub worker_threads: usize,
 }
 
 enum Event {
@@ -1187,9 +1144,6 @@ impl DistRun {
             worker_id: w,
             num_workers: self.cfg.num_workers as u32,
             strategy: self.strategy,
-            par_mode: self.cfg.par_mode,
-            phase1_threads: self.cfg.phase1_threads,
-            worker_threads: self.cfg.worker_threads,
             heartbeat_interval: self.cfg.policy.heartbeat_interval,
             kill: self.cfg.plan.kill.filter(|_| !self.kill_consumed),
             kill_mode: match self.cfg.spawn {
@@ -1673,6 +1627,7 @@ mod tests {
     use crate::fragment::encode_fragment;
     use crate::state::{LocalEdge, RemoteRef};
     use euler_graph::{EdgeId, VertexId};
+    use crate::test_support::{alloc_probe, mutate, ALLOC_RATIO, ALLOC_SLACK};
     use proptest::prelude::*;
     use std::sync::{Mutex, OnceLock};
 
@@ -1693,9 +1648,6 @@ mod tests {
             worker_id: 0,
             num_workers: 1,
             strategy: MergeStrategy::Deferred,
-            par_mode: Parallelism::PerPartition,
-            phase1_threads: 1,
-            worker_threads: 0,
             heartbeat_interval: Duration::from_millis(50),
             kill: None,
             kill_mode: KillMode::Exit,
@@ -1815,74 +1767,6 @@ mod tests {
         std::fs::remove_dir_all(dir).ok();
     }
 
-    /// Largest single allocation made on the current thread while a closure
-    /// runs — the probe behind "a decoder never reserves more than its
-    /// payload".
-    mod alloc_probe {
-        use std::alloc::{GlobalAlloc, Layout, System};
-        use std::cell::Cell;
-
-        thread_local! {
-            static LARGEST: Cell<usize> = const { Cell::new(0) };
-        }
-
-        fn note(size: usize) {
-            let _ = LARGEST.try_with(|m| m.set(m.get().max(size)));
-        }
-
-        pub struct Probe;
-
-        // SAFETY: every method forwards to the system allocator with the
-        // caller's arguments unchanged; the only addition is a thread-local
-        // high-water mark of requested sizes, which never allocates.
-        unsafe impl GlobalAlloc for Probe {
-            // SAFETY: same contract as `GlobalAlloc::alloc`, forwarded.
-            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-                note(layout.size());
-                // SAFETY: the caller upholds `alloc`'s contract.
-                unsafe { System.alloc(layout) }
-            }
-
-            // SAFETY: same contract as `GlobalAlloc::alloc_zeroed`, forwarded.
-            unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-                note(layout.size());
-                // SAFETY: the caller upholds `alloc_zeroed`'s contract.
-                unsafe { System.alloc_zeroed(layout) }
-            }
-
-            // SAFETY: same contract as `GlobalAlloc::dealloc`, forwarded.
-            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-                // SAFETY: `ptr` came from this allocator, i.e. from `System`.
-                unsafe { System.dealloc(ptr, layout) }
-            }
-
-            // SAFETY: same contract as `GlobalAlloc::realloc`, forwarded.
-            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-                note(new_size);
-                // SAFETY: `ptr` came from `System` with `layout`.
-                unsafe { System.realloc(ptr, layout, new_size) }
-            }
-        }
-
-        /// Runs `f`, returning its result and the largest allocation it made.
-        pub fn largest_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
-            LARGEST.with(|m| m.set(0));
-            let r = f();
-            (r, LARGEST.with(Cell::get))
-        }
-    }
-
-    #[global_allocator]
-    static PROBE: alloc_probe::Probe = alloc_probe::Probe;
-
-    /// The allowed ratio of a decoder's largest allocation to its payload.
-    /// Decoded forms may outgrow their wire form — at worst a 24-byte `Vec`
-    /// per 8-byte count word (empty merge-tree levels) — but no allocation
-    /// may be sized by an unchecked count.
-    const ALLOC_RATIO: usize = 3;
-    /// Error messages may allocate a little even for a tiny payload.
-    const ALLOC_SLACK: usize = 1024;
-
     /// Every frame sent, as `(kind, payload)`.
     type Frames = Arc<Mutex<Vec<(u16, Vec<u8>)>>>;
 
@@ -1988,27 +1872,6 @@ mod tests {
             }
             Corpus { inits, starts, dones, states, fragments }
         })
-    }
-
-    /// Flips a byte anywhere, flips a byte of the first 8 words (where
-    /// every decoder reads its leading counts), truncates, or appends
-    /// words, by `op`.
-    fn mutate(payload: &[u8], op: u64, at: u64, noise: u64) -> Vec<u8> {
-        let mut out = payload.to_vec();
-        match op % 4 {
-            0 | 3 if !out.is_empty() => {
-                let span = if op % 4 == 3 { out.len().min(64) } else { out.len() };
-                let i = (at % span as u64) as usize;
-                out[i] ^= (noise as u8).max(1);
-            }
-            1 => out.truncate((at % (out.len() as u64 + 1)) as usize),
-            _ => {
-                for k in 0..=noise % 8 {
-                    out.extend_from_slice(&noise.rotate_left(8 * k as u32).to_le_bytes());
-                }
-            }
-        }
-        out
     }
 
     fn pick(items: &[Vec<u8>], which: u64) -> &[u8] {

@@ -47,20 +47,14 @@
 //! fragments, same `PathMap`, same residual partition state) by the property
 //! tests in `tests/property_circuit.rs`.
 //!
-//! # Parallel execution
+//! # Determinism
 //!
 //! The function is deterministic: traversal starts are chosen in ascending
-//! vertex order and edges are consumed in insertion order. That determinism
-//! extends to the intra-partition parallel walker in
-//! [`parallel`](mod@parallel) ([`run_phase1_parallel`]): workers *speculate*
-//! maximal walks from upcoming start vertices against the committed state
-//! and the main thread commits them in exact sequential order, so the output
-//! is bit-identical to [`run_phase1`] for every thread count. Both paths run
-//! the same orchestration (`run_phase1_core`); only the source of walks
-//! differs.
+//! vertex order and edges are consumed in insertion order. Concurrency is
+//! partition-centric, as in the paper: the backends run whole partitions
+//! concurrently, each on this sequential kernel.
 
 pub mod arena;
-pub mod parallel;
 pub mod reference;
 mod splice;
 pub mod wstream;
@@ -70,12 +64,9 @@ use crate::pathmap::{CycleEntry, PathEntry, PathMap};
 use crate::state::{EdgeRef, LocalEdge, VertexTypeCounts, WorkingPartition};
 use arena::{HostScratch, KernelState};
 use euler_graph::VertexId;
-use parallel::{SpecStart, StartRule, WaveDriver, WaveQueue};
 use std::collections::HashMap;
-use std::sync::atomic::Ordering::Relaxed;
 
 pub use arena::{ArenaCapacities, ArenaPool, Phase1Arena};
-pub use parallel::{run_phase1_parallel, Parallelism, Phase1Executor};
 
 /// Output of one Phase-1 run on one partition.
 #[derive(Clone, Debug)]
@@ -139,76 +130,61 @@ fn register_visible_ref(
 /// Sentinel slot value: "not visible in any pending fragment".
 const NOT_VISIBLE: u32 = u32::MAX;
 
-/// Read-only view over the committed dense traversal state of a loaded
-/// [`KernelState`]. All mutation goes through relaxed atomics, so the view
-/// is `Copy + Sync`: the sequential kernel and the committing thread of the
-/// parallel walker use the same methods, and speculation workers may read
-/// the committed snapshot concurrently (waves are barrier-separated, which
-/// orders the writes).
-#[derive(Clone, Copy)]
+/// The dense traversal state of a loaded [`KernelState`] together with the
+/// partition's local edges it was loaded from.
 pub(crate) struct Traversal<'a> {
     /// The partition's local edges; edge slot `e` is `edges[e]`.
     pub edges: &'a [LocalEdge],
     /// The loaded kernel arrays.
-    pub k: &'a KernelState,
+    pub k: &'a mut KernelState,
 }
 
-impl<'a> Traversal<'a> {
+impl Traversal<'_> {
     /// Remaining (unvisited) local degree of vertex slot `s`.
     #[inline]
     pub fn remaining(&self, s: u32) -> u32 {
-        self.k.remaining[s as usize].load(Relaxed)
+        self.k.remaining[s as usize]
     }
 
     #[inline]
-    pub fn is_visited(&self, e: u32) -> bool {
-        self.k.visited[(e >> 6) as usize].load(Relaxed) & (1u64 << (e & 63)) != 0
-    }
-
-    /// Sets an edge's visited bit. Single-writer: only the walking /
-    /// committing thread calls this.
-    #[inline]
-    pub fn mark_visited(&self, e: u32) {
-        let w = &self.k.visited[(e >> 6) as usize];
-        w.store(w.load(Relaxed) | 1u64 << (e & 63), Relaxed);
+    fn is_visited(&self, e: u32) -> bool {
+        self.k.visited[(e >> 6) as usize] & (1u64 << (e & 63)) != 0
     }
 
     /// Next unvisited incident edge slot of vertex slot `s`, if any. The
     /// cursor parks on the returned edge (it is consumed by the caller) and
     /// never re-scans the consumed prefix.
     #[inline]
-    fn next_edge(&self, s: u32) -> Option<u32> {
+    fn next_edge(&mut self, s: u32) -> Option<u32> {
         let end = self.k.offsets[s as usize + 1];
-        let mut cur = self.k.cursor[s as usize].load(Relaxed);
+        let mut cur = self.k.cursor[s as usize];
         while cur < end {
             let e = self.k.incidence[cur as usize];
             if !self.is_visited(e) {
-                self.k.cursor[s as usize].store(cur, Relaxed);
+                self.k.cursor[s as usize] = cur;
                 return Some(e);
             }
             cur += 1;
         }
-        self.k.cursor[s as usize].store(cur, Relaxed);
+        self.k.cursor[s as usize] = cur;
         None
     }
 
     /// Maximal traversal from vertex slot `start`, consuming unvisited local
     /// edges. Appends tour edges to `tour` and the visited vertex-slot
     /// sequence (`tour.len() + 1` entries) to `vslots`.
-    pub fn walk(&self, start: u32, tour: &mut Vec<TourEdge>, vslots: &mut Vec<u32>) {
+    pub fn walk(&mut self, start: u32, tour: &mut Vec<TourEdge>, vslots: &mut Vec<u32>) {
         tour.clear();
         vslots.clear();
         vslots.push(start);
         let mut current = start;
         let mut current_v = self.k.index.vertex(current);
         while let Some(e) = self.next_edge(current) {
-            self.mark_visited(e);
+            self.k.visited[(e >> 6) as usize] |= 1u64 << (e & 63);
             let [su, sv] = self.k.ends[e as usize];
             let next = if su == current { sv } else { su };
-            let r = &self.k.remaining[su as usize];
-            r.store(r.load(Relaxed) - 1, Relaxed);
-            let r = &self.k.remaining[sv as usize];
-            r.store(r.load(Relaxed) - 1, Relaxed);
+            self.k.remaining[su as usize] -= 1;
+            self.k.remaining[sv as usize] -= 1;
             let next_v = self.k.index.vertex(next);
             tour.push(match self.edges[e as usize].edge {
                 EdgeRef::Real(edge) => TourEdge::Real { edge, from: current_v, to: next_v },
@@ -223,18 +199,14 @@ impl<'a> Traversal<'a> {
     }
 
     /// First unvisited edge slot, if any (monotone linear scan overall).
-    fn any_unvisited(&self) -> Option<u32> {
+    fn any_unvisited(&mut self) -> Option<u32> {
         let m = self.edges.len();
-        let mut i = self.k.unvisited_scan.load(Relaxed);
-        while i < m {
-            if !self.is_visited(i as u32) {
-                self.k.unvisited_scan.store(i, Relaxed);
-                return Some(i as u32);
-            }
+        let mut i = self.k.unvisited_scan;
+        while i < m && self.is_visited(i as u32) {
             i += 1;
         }
-        self.k.unvisited_scan.store(i, Relaxed);
-        None
+        self.k.unvisited_scan = i;
+        (i < m).then_some(i as u32)
     }
 }
 
@@ -303,27 +275,15 @@ pub fn run_phase1_with_arena(
 ) -> Phase1Output {
     let boundary = wp.boundary_vertices_sorted();
     let local_edges = std::mem::take(&mut wp.local_edges);
-    let Phase1Arena { kernel, host, .. } = arena;
+    let Phase1Arena { kernel, host } = arena;
     kernel.load(&local_edges);
-    let tr = Traversal { edges: &local_edges, k: kernel };
-    run_phase1_core(wp, store, &local_edges, &boundary, &tr, host, None)
-}
-
-/// The shared Phase-1 orchestration: steps 1–3, `mergeInto` splicing, and
-/// fragment persistence. The sequential path (`walks: None`) executes every
-/// maximal traversal inline; the parallel path hands a [`WaveDriver`] that
-/// produces the *same* walks, in the same order, from speculating workers.
-fn run_phase1_core(
-    wp: &mut WorkingPartition,
-    store: &FragmentStore,
-    local_edges: &[LocalEdge],
-    boundary: &[VertexId],
-    tr: &Traversal<'_>,
-    host: &mut HostScratch,
-    mut walks: Option<&mut WaveDriver<'_, '_>>,
-) -> Phase1Output {
-    let counts_before =
-        counts_from_traverser(tr, boundary, wp.remote_edges.len() as u64, wp.isolated_vertices);
+    let mut tr = Traversal { edges: &local_edges, k: kernel };
+    let counts_before = counts_from_traverser(
+        &tr,
+        &boundary,
+        wp.remote_edges.len() as u64,
+        wp.isolated_vertices,
+    );
     let complexity = counts_before.phase1_complexity();
     let n = tr.k.index.len();
 
@@ -343,21 +303,11 @@ fn run_phase1_core(
     // reference implementation's shrinking BTreeSet.
     odd_slots.clear();
     odd_slots.extend((0..n as u32).filter(|&s| tr.remaining(s) % 2 == 1));
-    for i in 0..odd_slots.len() {
-        let s = odd_slots[i];
+    for &s in odd_slots.iter() {
         if tr.remaining(s).is_multiple_of(2) {
             continue; // consumed as the far endpoint of an earlier walk
         }
-        match walks.as_deref_mut() {
-            Some(w) => w.walk(
-                SpecStart::Slot(s),
-                WaveQueue::Slots { rest: &odd_slots[i..], rule: StartRule::OddParity },
-                tr,
-                tour,
-                vslots,
-            ),
-            None => tr.walk(s, tour, vslots),
-        }
+        tr.walk(s, tour, vslots);
         debug_assert!(!tour.is_empty(), "odd-degree vertex must have an unvisited edge");
         debug_assert_ne!(
             vslots.first(),
@@ -370,21 +320,11 @@ fn run_phase1_core(
     // --- Step 2: cycles at boundary vertices. -------------------------------
     boundary_slots.clear();
     boundary_slots.extend(boundary.iter().filter_map(|&b| tr.k.index.slot(b)));
-    for i in 0..boundary_slots.len() {
-        let s = boundary_slots[i];
+    for &s in boundary_slots.iter() {
         if tr.remaining(s) == 0 {
             continue; // trivial singleton: nothing to record
         }
-        match walks.as_deref_mut() {
-            Some(w) => w.walk(
-                SpecStart::Slot(s),
-                WaveQueue::Slots { rest: &boundary_slots[i..], rule: StartRule::Positive },
-                tr,
-                tour,
-                vslots,
-            ),
-            None => tr.walk(s, tour, vslots),
-        }
+        tr.walk(s, tour, vslots);
         debug_assert_eq!(vslots.last(), Some(&s), "even-degree traversal closes (Lemma 2)");
         splice.create_fragment(FragmentKind::Cycle, tour, vslots, visible, NOT_VISIBLE);
     }
@@ -394,10 +334,7 @@ fn run_phase1_core(
     let mut pivot_lookups = 0u64;
     while let Some(e) = tr.any_unvisited() {
         let start = tr.k.ends[e as usize][0];
-        match walks.as_deref_mut() {
-            Some(w) => w.walk(SpecStart::Edge(e), WaveQueue::Edges, tr, tour, vslots),
-            None => tr.walk(start, tour, vslots),
-        }
+        tr.walk(start, tour, vslots);
         debug_assert_eq!(vslots.last(), Some(&start), "internal traversal closes (Lemma 2)");
         // mergeInto: find a pivot vertex shared with an existing fragment.
         // Only the `tour.len()` from-slots are candidates (the final slot
@@ -718,6 +655,18 @@ mod tests {
         for p in pg.partitions() {
             assert_equivalent(&WorkingPartition::from_partition(p));
         }
+        // A whole torus as one partition: step 3 only, one giant walk.
+        let a = euler_graph::PartitionAssignment::from_labels(vec![0; 64], 1).unwrap();
+        let pg = PartitionedGraph::from_assignment(&g, &a).unwrap();
+        assert_equivalent(&WorkingPartition::from_partition(&pg.partitions()[0]));
+        // 20 odd boundary vertices, each with one local edge into an
+        // interior ring: step 1 runs 10 OB paths sharing ring vertices.
+        let mut pendants = Vec::new();
+        for i in 0..20u64 {
+            pendants.push((i, 100 + i));
+            pendants.push((100 + i, 100 + ((i + 1) % 20)));
+        }
+        assert_equivalent(&wp_from_edges(&pendants, &(0..20).collect::<Vec<_>>()));
         for seed in 0..10 {
             let g = synthetic::random_eulerian_connected(60, 8, 5, seed);
             let labels: Vec<u32> = (0..60).map(|i| (i % 3) as u32).collect();
@@ -731,8 +680,20 @@ mod tests {
 
     #[test]
     fn dense_matches_reference_with_self_loops_and_multi_edges() {
-        let local = [(0u64, 0u64), (0, 1), (1, 2), (2, 0), (0, 1), (1, 0)];
-        let wp = WorkingPartition {
+        // Empty (remote-only), a lone self-loop, and multi-edges with loops.
+        assert_equivalent(&wp_from_edges(&[], &[0, 0]));
+        assert_equivalent(&wp_from_edges(&[(0, 0)], &[]));
+        assert_equivalent(&wp_from_edges(&[(0, 0), (0, 1), (1, 2), (2, 0), (0, 1), (1, 0)], &[]));
+        assert_equivalent(&wp_from_edges(
+            &[(0, 0), (0, 1), (1, 2), (2, 0), (0, 1), (1, 0), (2, 2)],
+            &[],
+        ));
+    }
+
+    /// A partition with the given local edges and one remote edge at each
+    /// vertex of `remote_at`.
+    fn wp_from_edges(local: &[(u64, u64)], remote_at: &[u64]) -> WorkingPartition {
+        WorkingPartition {
             id: PartitionId(0),
             leaves: vec![PartitionId(0)],
             level: 0,
@@ -745,10 +706,19 @@ mod tests {
                     v: euler_graph::VertexId(v),
                 })
                 .collect(),
-            remote_edges: vec![],
+            remote_edges: remote_at
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| crate::state::RemoteRef {
+                    edge: euler_graph::EdgeId(1000 + i as u64),
+                    local: euler_graph::VertexId(v),
+                    remote: euler_graph::VertexId(9999),
+                    local_leaf: PartitionId(0),
+                    remote_leaf: PartitionId(1),
+                })
+                .collect(),
             isolated_vertices: 0,
-        };
-        assert_equivalent(&wp);
+        }
     }
 
     #[test]

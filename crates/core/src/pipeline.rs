@@ -41,7 +41,7 @@ use crate::memory_model::{LevelTrace, PartitionLevelState};
 use crate::merge_strategy::MergeStrategy;
 use crate::merge_tree::{MergePair, MergeTree};
 use crate::phase1::wstream::{stream_phase1, WStreamStats};
-use crate::phase1::{Parallelism, Phase1Executor, Phase1Output};
+use crate::phase1::{ArenaPool, Phase1Output};
 use crate::phase2::{apply_remote_edge_dedup, merge_partitions, remote_edge_needed_level};
 use crate::phase3::{unroll, CircuitResult};
 use crate::state::{VertexTypeCounts, WorkingPartition};
@@ -340,36 +340,23 @@ struct InProcessState {
     pending: HashMap<PartitionId, (Duration, u64)>,
 }
 
-/// Executes levels in this process. How Phase 1 is scheduled onto threads is
-/// the backend's [`Parallelism`] mode ([`with_parallelism`]):
+/// Executes levels in this process. A level's partitions fan out on rayon
+/// threads, each running the sequential Phase-1 kernel — the paper's
+/// partition-centric parallelism. With
+/// [`EulerConfig::parallel_within_level`] off they run one at a time in
+/// ascending partition-id order (the BSP engine's slot order), which makes
+/// fragment ids bit-deterministic and equal to a 1-worker BSP run's.
 ///
-/// * [`Parallelism::PerPartition`] (default): a level's partitions fan out
-///   on rayon threads (unless [`EulerConfig::parallel_within_level`] is
-///   off), each running the sequential Phase-1 kernel.
-/// * [`Parallelism::IntraPartition`]: partitions run one at a time in
-///   ascending id order, each on the deterministic wave-speculation walker
-///   ([`crate::phase1::run_phase1_parallel`]) over [`with_threads`] threads
-///   — circuits and reports are bit-identical to a fully sequential run for
-///   every thread count.
-/// * [`Parallelism::Auto`]: per level, per-partition fan-out while at least
-///   as many live partitions as threads remain, intra-partition waves on
-///   the narrow top levels.
-///
-/// Phase-1 scratch comes from the executor's arena pool, reused across
-/// merge levels. Merges always run sequentially.
+/// Phase-1 scratch comes from an arena pool, reused across merge levels.
+/// Merges always run sequentially.
 ///
 /// This backend absorbs the pre-redesign `run_partitioned` driver; it
 /// produces the detailed per-level, per-partition quantities the paper's
-/// Figs. 6–9 are built from. Within a level, partitions execute in ascending
-/// partition-id order (the BSP engine's slot order), so sequential and
-/// intra-partition runs of both backends persist fragments identically.
-///
-/// [`with_parallelism`]: InProcessBackend::with_parallelism
-/// [`with_threads`]: InProcessBackend::with_threads
+/// Figs. 6–9 are built from.
 #[derive(Default)]
 pub struct InProcessBackend {
     inner: RefCell<InProcessState>,
-    executor: Phase1Executor,
+    pool: ArenaPool,
 }
 
 impl InProcessBackend {
@@ -377,25 +364,6 @@ impl InProcessBackend {
     /// re-seeding (a new run) resets it.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets how Phase 1 is scheduled onto threads (see the type docs).
-    pub fn with_parallelism(mut self, mode: Parallelism) -> Self {
-        self.executor = self.executor.with_mode(mode);
-        self
-    }
-
-    /// Sets the thread budget for intra-partition walks and the
-    /// [`Parallelism::Auto`] threshold. `0` restores auto-detection
-    /// (`RAYON_NUM_THREADS`, else the host's available parallelism).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.executor = self.executor.with_threads(threads);
-        self
-    }
-
-    /// The backend's Phase-1 scheduling mode.
-    pub fn parallelism(&self) -> Parallelism {
-        self.executor.mode()
     }
 }
 
@@ -419,20 +387,16 @@ impl ExecutionBackend for InProcessBackend {
         let store = work.store;
 
         // --- Phase 1 on all active partitions of this level. ---------------
-        // `.sequential()` (parallel_within_level = false) forces the plain
-        // sequential walk everywhere; otherwise the executor's mode decides
-        // between per-partition fan-out and intra-partition waves.
-        let intra = work.config.parallel_within_level && self.executor.intra_at(st.states.len());
-        let executor = &self.executor;
+        let pool = &self.pool;
         let run_one = |wp: &mut WorkingPartition| -> (PartitionId, u64, u64, Phase1Output, Duration) {
             let memory = active_memory_longs(wp, tree, level, strategy);
             let needed_now = remote_needed_now(wp, tree, level);
             let t0 = Instant::now();
-            let out = executor.run(wp, store, intra);
+            let out = pool.run_phase1(wp, store);
             (wp.id, memory, needed_now, out, t0.elapsed())
         };
         let outputs: Vec<(PartitionId, u64, u64, Phase1Output, Duration)> =
-            if work.config.parallel_within_level && !intra {
+            if work.config.parallel_within_level {
                 st.states.par_iter_mut().map(run_one).collect()
             } else {
                 st.states.iter_mut().map(run_one).collect()
@@ -632,9 +596,8 @@ struct DistProgram {
     store: FragmentStore,
     strategy: MergeStrategy,
     height: u32,
-    /// Phase-1 execution policy (mode + thread budget + arena pool shared
-    /// across this run's workers and merge levels).
-    executor: Phase1Executor,
+    /// Phase-1 scratch shared across this run's workers and merge levels.
+    pool: ArenaPool,
     ledger: Mutex<Ledger>,
 }
 
@@ -676,36 +639,11 @@ impl euler_bsp::PartitionProgram for DistProgram {
             **wp = merged;
         }
 
-        // Phase 1 for this level. The engine's per-worker budget
-        // (`BspConfig::with_worker_threads`) is authoritative when set —
-        // `Some(1)` pins explicitly single-core executors; unspecified
-        // falls back to the executor's own thread policy. `Auto` mirrors
-        // the in-process rule: sequential walks while a level still has at
-        // least `budget` live partitions (they run spread across the
-        // engine's concurrent workers), waves on the narrow top levels.
+        // Phase 1 for this level: the engine's workers are the parallelism.
         let memory = active_memory_longs(wp, &self.tree, level, self.strategy);
         let needed_now = remote_needed_now(wp, &self.tree, level);
-        let budget = ctx
-            .worker_threads
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or_else(|| self.executor.resolved_threads());
-        let threads = match self.executor.mode() {
-            Parallelism::PerPartition => 1,
-            Parallelism::IntraPartition => budget,
-            Parallelism::Auto => {
-                let merged_below: usize =
-                    (0..level).map(|l| self.tree.pairs_at(l).len()).sum();
-                let live = self.tree.leaves.len() - merged_below;
-                if live < budget {
-                    budget
-                } else {
-                    1
-                }
-            }
-        };
         let t1 = Instant::now();
-        let out =
-            ctx.time("phase1_tour", || self.executor.run_with_threads(wp, &self.store, threads));
+        let out = ctx.time("phase1_tour", || self.pool.run_phase1(wp, &self.store));
         let phase1_time = t1.elapsed();
         ctx.report_memory_longs(wp.memory_longs());
         self.ledger.lock().reports.push(LevelPartitionReport {
@@ -763,8 +701,6 @@ impl euler_bsp::PartitionProgram for DistProgram {
 /// one-executor-per-partition deployment.
 pub struct BspBackend {
     engine: euler_bsp::BspConfig,
-    parallelism: Parallelism,
-    phase1_threads: usize,
     run: RefCell<Option<euler_bsp::StepRun<DistProgram>>>,
     transport: Option<Arc<dyn euler_bsp::Transport>>,
     process_workers: bool,
@@ -781,12 +717,10 @@ impl BspBackend {
     }
 
     /// Backend over an explicitly configured engine (worker count, cost
-    /// model, superstep bound, per-worker compute threads).
+    /// model, superstep bound).
     pub fn with_engine(engine: euler_bsp::BspConfig) -> Self {
         BspBackend {
             engine,
-            parallelism: Parallelism::PerPartition,
-            phase1_threads: 0,
             run: RefCell::new(None),
             transport: None,
             process_workers: false,
@@ -846,40 +780,9 @@ impl BspBackend {
         self
     }
 
-    /// Sets how each worker runs Phase 1 — the BSP equivalent of
-    /// [`InProcessBackend::with_parallelism`]. Under
-    /// [`Parallelism::PerPartition`] (default) a worker walks each of its
-    /// partitions sequentially (engine workers are the parallelism, as in
-    /// the paper's deployment); under [`Parallelism::IntraPartition`] /
-    /// [`Parallelism::Auto`] the worker loop hands its compute-thread budget
-    /// ([`euler_bsp::BspConfig::with_worker_threads`], else
-    /// [`with_phase1_threads`](Self::with_phase1_threads)) to the
-    /// deterministic wave walker inside each partition. Bit-identical
-    /// circuit composition across runs additionally needs a single-worker
-    /// engine (multi-worker engines run partitions concurrently and
-    /// interleave fragment-store appends); per-partition walks, transfers
-    /// and report quantities are deterministic regardless.
-    pub fn with_parallelism(mut self, mode: Parallelism) -> Self {
-        self.parallelism = mode;
-        self
-    }
-
-    /// Fallback wave-walker thread budget for workers whose engine config
-    /// does not set [`euler_bsp::BspConfig::worker_threads`]. `0` (default)
-    /// auto-detects (`RAYON_NUM_THREADS`, else available parallelism).
-    pub fn with_phase1_threads(mut self, threads: usize) -> Self {
-        self.phase1_threads = threads;
-        self
-    }
-
     /// The engine configuration.
     pub fn engine(&self) -> &euler_bsp::BspConfig {
         &self.engine
-    }
-
-    /// The Phase-1 scheduling mode of the worker loop.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
     }
 }
 
@@ -915,8 +818,7 @@ impl ExecutionBackend for BspBackend {
                 store: work.store.clone(),
                 strategy: work.config.merge_strategy,
                 height: work.tree.height(),
-                executor: Phase1Executor::new(self.parallelism)
-                    .with_threads(self.phase1_threads),
+                pool: ArenaPool::new(),
                 ledger: Mutex::new(Ledger::default()),
             };
             *slot = Some(euler_bsp::StepRun::new(self.engine, program, initial));
@@ -994,13 +896,6 @@ impl BspBackend {
                 checkpoint_dir: self.checkpoint_dir.clone(),
                 policy: self.fault_policy,
                 plan: self.fault_plan,
-                par_mode: self.parallelism,
-                phase1_threads: self.phase1_threads,
-                worker_threads: self
-                    .engine
-                    .worker_threads
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(0),
             };
             *dist = Some(crate::distributed::DistRun::new(
                 cfg,
@@ -1932,111 +1827,6 @@ mod tests {
         for (x, y) in a.merge.per_partition.iter().zip(&b.merge.per_partition) {
             assert_eq!(record_facts(x), record_facts(y));
         }
-    }
-
-    #[test]
-    fn intra_partition_modes_match_the_sequential_run_bit_for_bit() {
-        // The determinism headline: whatever the thread count and backend,
-        // IntraPartition runs equal the fully sequential run — circuits,
-        // per-level records, transfers.
-        let g = synthetic::random_eulerian_connected(140, 18, 6, 77);
-        let a = LdgPartitioner::new(4).partition(&g);
-        let sequential = EulerPipeline::builder()
-            .graph(&g)
-            .assignment(a.clone())
-            .config(EulerConfig::default().sequential())
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-        for threads in [1usize, 2, 8] {
-            let in_proc = EulerPipeline::builder()
-                .graph(&g)
-                .assignment(a.clone())
-                .backend(
-                    InProcessBackend::new()
-                        .with_parallelism(Parallelism::IntraPartition)
-                        .with_threads(threads),
-                )
-                .build()
-                .unwrap()
-                .run()
-                .unwrap();
-            assert_same_run(&in_proc, &sequential);
-            let bsp = EulerPipeline::builder()
-                .graph(&g)
-                .assignment(a.clone())
-                .backend(
-                    BspBackend::with_engine(
-                        euler_bsp::BspConfig::with_workers(1).with_worker_threads(threads),
-                    )
-                    .with_parallelism(Parallelism::IntraPartition),
-                )
-                .build()
-                .unwrap()
-                .run()
-                .unwrap();
-            assert_same_run(&bsp, &sequential);
-        }
-    }
-
-    #[test]
-    fn auto_mode_is_valid_and_deterministic_on_narrow_levels() {
-        // With one partition every level is narrower than the thread budget,
-        // so Auto takes the intra path throughout and must equal sequential.
-        let g = synthetic::torus_grid(10, 10);
-        let a = HashPartitioner::new(1).partition(&g);
-        let sequential = EulerPipeline::builder()
-            .graph(&g)
-            .assignment(a.clone())
-            .config(EulerConfig::default().sequential())
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-        let auto = EulerPipeline::builder()
-            .graph(&g)
-            .assignment(a)
-            .backend(
-                InProcessBackend::new().with_parallelism(Parallelism::Auto).with_threads(4),
-            )
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-        assert_same_run(&auto, &sequential);
-        verify_result(&g, &auto.circuit.result).unwrap();
-        // Same rule through the BSP worker loop: one live partition is
-        // narrower than the explicit 4-thread worker budget, so Auto takes
-        // the wave path there too — still bit-identical to sequential.
-        let bsp_auto = EulerPipeline::builder()
-            .graph(&g)
-            .assignment(HashPartitioner::new(1).partition(&g))
-            .backend(
-                BspBackend::with_engine(
-                    euler_bsp::BspConfig::with_workers(1).with_worker_threads(4),
-                )
-                .with_parallelism(Parallelism::Auto),
-            )
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-        assert_same_run(&bsp_auto, &sequential);
-        // Wide multi-partition graphs stay valid under Auto (fan-out levels
-        // interleave fragment ids, so only validity is asserted there).
-        let g = synthetic::random_eulerian_connected(100, 12, 5, 5);
-        let a = LdgPartitioner::new(6).partition(&g);
-        let run = EulerPipeline::builder()
-            .graph(&g)
-            .assignment(a)
-            .backend(InProcessBackend::new().with_parallelism(Parallelism::Auto).with_threads(3))
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-        verify_result(&g, &run.circuit.result).unwrap();
-        assert_eq!(run.circuit.result.total_edges(), g.num_edges());
     }
 
     #[test]

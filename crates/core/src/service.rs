@@ -49,7 +49,6 @@ use crate::config::EulerConfig;
 use crate::error::EulerError;
 use crate::memory_model::{model_series, LevelTrace, PartitionLevelState};
 use crate::merge_strategy::MergeStrategy;
-use crate::phase1::Parallelism;
 use crate::phase3::{CircuitResult, CircuitStep};
 use crate::pipeline::{run_on_partitioned_cancellable, InProcessBackend, RunReport};
 use euler_bsp::transport::{word_payload, Connection};
@@ -858,9 +857,10 @@ fn compute_run(
 /// One pipeline run over a registered graph: streaming-partition the mapped
 /// CSR, slice the partition view, walk the merge tree cancellably. The
 /// streaming partitioners produce the same assignment as their in-memory
-/// counterparts by construction, and the merge-tree walk is deterministic
-/// for every thread count, so the result is bit-identical to the library
-/// path ([`crate::EulerPipeline`]) on the same graph and options.
+/// counterparts by construction, and the sequential merge-tree walk is
+/// deterministic, so the result is bit-identical to the library path
+/// ([`crate::EulerPipeline`] with [`EulerConfig::sequential`]) on the same
+/// graph and options.
 fn compute_circuit(
     graph: &RegisteredGraph,
     opts: &RunOptions,
@@ -875,16 +875,16 @@ fn compute_circuit(
         PartitionerKind::Ldg => LdgPartitioner::new(opts.partitions).partition_stream(&mut stream)?,
     };
     let pg = graph.csr.partitioned(&assignment)?;
+    // A sequential walk makes the circuit composition bit-deterministic,
+    // so a cached circuit and a fresh recomputation of the same
+    // (graph, options) key are the same bytes.
     let config = EulerConfig {
         merge_strategy: opts.strategy,
         fragment_memory_budget: Some(fragment_budget_longs),
         ..EulerConfig::default()
-    };
-    // IntraPartition keeps the circuit composition bit-identical to a
-    // sequential run at any thread count, so a cached circuit and a fresh
-    // recomputation of the same (graph, options) key are the same bytes.
-    let backend = InProcessBackend::new().with_parallelism(Parallelism::IntraPartition);
-    run_on_partitioned_cancellable(&pg, &config, &backend, token)
+    }
+    .sequential();
+    run_on_partitioned_cancellable(&pg, &config, &InProcessBackend::new(), token)
 }
 
 fn stream_result(
@@ -1215,6 +1215,7 @@ impl ServiceClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::{alloc_probe, mutate, ALLOC_RATIO, ALLOC_SLACK};
 
     #[test]
     fn run_options_roundtrip_through_the_wire_encoding() {
@@ -1362,5 +1363,149 @@ mod tests {
         };
         let payload = summary.encode();
         assert_eq!(RunSummary::decode(&mut WordReader::new(&payload).unwrap()).unwrap(), summary);
+    }
+
+    /// Every frame sent through it, as `(kind, payload)`; receives nothing.
+    #[derive(Default)]
+    struct Recorder(Mutex<Vec<(u16, Vec<u8>)>>);
+
+    impl Connection for Recorder {
+        fn send(&self, kind: u16, payload: &[u8]) -> Result<(), FrameError> {
+            self.0.lock().unwrap().push((kind, payload.to_vec()));
+            Ok(())
+        }
+
+        fn recv_timeout(&self, _: Option<Duration>) -> Result<(u16, Vec<u8>), FrameError> {
+            Err(FrameError::Timeout)
+        }
+    }
+
+    /// Real payloads of every service decoder: requests, the server's
+    /// responses (a circuit streamed through `stream_result`, an error
+    /// frame through `send_error`) and the stats reply.
+    struct Corpus {
+        requests: Vec<(&'static str, Vec<u8>)>,
+        events: Vec<(u16, Vec<u8>)>,
+        stats: Vec<u8>,
+    }
+
+    fn corpus() -> &'static Corpus {
+        static CORPUS: std::sync::OnceLock<Corpus> = std::sync::OnceLock::new();
+        CORPUS.get_or_init(build_corpus)
+    }
+
+    fn build_corpus() -> Corpus {
+        let mut register = Vec::new();
+        register.put_str("graphs/torus.ecsr");
+        let opts =
+            RunOptions { partitions: 4, strategy: MergeStrategy::Deferred, partitioner: PartitionerKind::Ldg };
+        let g = euler_gen::synthetic::torus_grid(6, 6);
+        let a = euler_partition::Partitioner::partition(&HashPartitioner::new(3), &g);
+        let (circuit, _) =
+            crate::run_with_backend(&g, &a, &EulerConfig::default(), &InProcessBackend::new()).unwrap();
+        let conn = Recorder::default();
+        conn.send(frame_kind::ACCEPTED, &word_payload(&[1234, 0])).unwrap();
+        conn.send(frame_kind::PROGRESS, &word_payload(&[2, 3])).unwrap();
+        let summary = RunSummary {
+            supersteps: 3,
+            transfer_longs: 10,
+            peak_resident_longs: 20,
+            estimated_longs: 30,
+            measured_longs: 40,
+        };
+        conn.send(frame_kind::REPORT, &summary.encode()).unwrap();
+        stream_result(&conn, &circuit, 16).unwrap();
+        send_error(&conn, error_code::RUN_FAILED, "the run failed").unwrap();
+        Corpus {
+            requests: vec![("run", encode_run(0xDEAD_BEEF, &opts)), ("register", register)],
+            events: conn.0.into_inner().unwrap(),
+            stats: ServiceStats { memory_cap_longs: 1 << 20, ..ServiceStats::default() }.encode(),
+        }
+    }
+
+    #[test]
+    fn the_service_corpus_decodes() {
+        let c = corpus();
+        assert!(decode_run(&c.requests[0].1).is_ok());
+        assert!(WordReader::new(&c.requests[1].1).and_then(|mut r| r.str()).is_ok());
+        assert!(ServiceStats::decode(&c.stats).is_ok());
+        for kind in [frame_kind::ACCEPTED, frame_kind::PROGRESS, frame_kind::REPORT, frame_kind::CHUNK] {
+            assert!(c.events.iter().any(|(k, _)| *k == kind), "no {kind:#x} frame captured");
+        }
+        for (kind, payload) in &c.events {
+            let decoded = decode_event(*kind, payload);
+            match *kind {
+                frame_kind::ERROR => assert!(matches!(decoded, Err(ServiceError::Remote { .. }))),
+                _ => assert!(decoded.is_ok(), "{kind:#x} does not decode"),
+            }
+        }
+    }
+
+    /// A small packed `.ecsr` file: header, section table and sections.
+    fn packed_ecsr() -> &'static [u8] {
+        static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+        BYTES.get_or_init(|| {
+            let g = euler_gen::synthetic::random_eulerian_connected(24, 4, 3, 5);
+            let path = std::env::temp_dir()
+                .join(format!("euler-service-ecsr-{}.ecsr", std::process::id()));
+            euler_graph::write_csr_file(&g, &path).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            bytes
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Every service decoder, fed a real payload with a flipped byte, a
+        /// truncation or appended words, returns `Ok` or a typed error — no
+        /// panic — and makes no allocation larger than a small multiple of
+        /// the payload. The same holds for `CsrFile::open` on a mutated
+        /// `.ecsr` file (the bytes a REGISTER request makes the server map).
+        #[test]
+        fn mutated_service_payloads_and_ecsr_files_yield_typed_errors(
+            which in proptest::prelude::any::<u64>(),
+            op in 0u64..4,
+            at in proptest::prelude::any::<u64>(),
+            noise in proptest::prelude::any::<u64>(),
+        ) {
+            let c = corpus();
+            let check = |name: &str, payload: &[u8], decode: &dyn Fn(&[u8]) -> bool| {
+                let mutated = mutate(payload, op, at, noise);
+                let (_, largest) = alloc_probe::largest_during(|| decode(&mutated));
+                assert!(
+                    largest <= ALLOC_RATIO * mutated.len() + ALLOC_SLACK,
+                    "{name}: a {}-byte payload allocated {largest} bytes",
+                    mutated.len()
+                );
+            };
+            check("run", &c.requests[0].1, &|p| decode_run(p).is_ok());
+            check("register", &c.requests[1].1, &|p| {
+                WordReader::new(p).and_then(|mut r| r.str()).is_ok()
+            });
+            check("stats", &c.stats, &|p| ServiceStats::decode(p).is_ok());
+            let (kind, payload) = &c.events[(which % c.events.len() as u64) as usize];
+            check("event", payload, &|p| decode_event(*kind, p).is_ok());
+
+            let mutated = mutate(packed_ecsr(), op, at, noise);
+            let path = std::env::temp_dir()
+                .join(format!("euler-service-mutated-{}-{which}.ecsr", std::process::id()));
+            std::fs::write(&path, &mutated).unwrap();
+            let (opened, largest) =
+                alloc_probe::largest_during(|| euler_graph::CsrFile::open(&path).map(|_| ()));
+            std::fs::remove_file(&path).ok();
+            assert!(
+                largest <= ALLOC_RATIO * mutated.len() + ALLOC_SLACK,
+                "ecsr: a {}-byte file allocated {largest} bytes",
+                mutated.len()
+            );
+            if let Err(e) = opened {
+                assert!(
+                    matches!(e, euler_graph::GraphError::CsrFormat(_) | euler_graph::GraphError::Io(_)),
+                    "untyped open failure: {e:?}"
+                );
+            }
+        }
     }
 }

@@ -180,65 +180,6 @@
 //! std::fs::remove_file(&path).ok();
 //! ```
 //!
-//! ## Parallelism model
-//!
-//! How Phase 1 is scheduled onto threads is a backend option,
-//! [`Parallelism`](algo::Parallelism):
-//!
-//! * **`PerPartition`** (default) — a merge level's partitions fan out
-//!   across threads, each running the sequential Phase-1 kernel. Fastest at
-//!   wide levels; concurrent partitions interleave their fragment-store
-//!   appends, so circuit *composition* can differ between runs (transfer
-//!   and memory accounting are always deterministic).
-//! * **`IntraPartition`** — partitions run one at a time (ascending id) and
-//!   the *inside* of each Phase 1 is parallelised by the wave-speculation
-//!   walker: workers speculate maximal walks against the committed state
-//!   and the main thread commits them in exact sequential order. Output is
-//!   **bit-identical to a fully sequential run for every thread count** —
-//!   circuits, per-level reports, transfer Longs — which is what the
-//!   narrow top levels of the merge tree (one big merged partition) need.
-//! * **`Auto`** — per level: `PerPartition` while at least as many live
-//!   partitions as threads remain, `IntraPartition` above that.
-//!
-//! ```
-//! use euler_circuit::prelude::*;
-//!
-//! let graph = graph_from_edges(&[(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]);
-//! let deterministic = |threads: usize| {
-//!     EulerPipeline::builder()
-//!         .graph(&graph)
-//!         .partitioner(LdgPartitioner::new(2))
-//!         .backend(
-//!             InProcessBackend::new()
-//!                 .with_parallelism(Parallelism::IntraPartition)
-//!                 .with_threads(threads),
-//!         )
-//!         .build()
-//!         .unwrap()
-//!         .run()
-//!         .unwrap()
-//! };
-//! // Any thread count produces the same circuits, edge for edge.
-//! let single = deterministic(1);
-//! let eight = deterministic(8);
-//! assert_eq!(single.circuit.result.circuits, eight.circuit.result.circuits);
-//! assert_eq!(single.merge.total_transfer_longs, eight.merge.total_transfer_longs);
-//! ```
-//!
-//! On the BSP backend the same option rides the worker loop:
-//! `BspBackend::with_engine(BspConfig::with_workers(1).with_worker_threads(8))
-//! .with_parallelism(Parallelism::IntraPartition)` gives each simulated
-//! executor an 8-thread budget for the wave walker. Bit-identical circuit
-//! *composition* additionally needs the partitions to execute serially —
-//! always true in-process; on BSP it needs a single-worker engine, since a
-//! multi-worker engine runs its workers' partitions concurrently and their
-//! fragment-store appends interleave (each partition's own walks stay
-//! deterministic either way, as do transfers and reports). Phase-1 scratch
-//! (interning table, CSR incidence arena, cursors, bitsets, speculation
-//! overlays) lives in reusable [`Phase1Arena`](algo::Phase1Arena)s drawn
-//! from a per-backend pool, so repeated levels stop allocating once the
-//! buffers reach the working-set size.
-//!
 //! ## Distributed: wire transports, process workers, kill-and-resume
 //!
 //! Give [`BspBackend`](algo::BspBackend) a [`Transport`](bsp::Transport)
@@ -396,7 +337,7 @@ pub mod prelude {
         run_on_partitioned, run_on_partitioned_cancellable, run_with_backend, stream_phase1,
         verify::verify_circuit, BspBackend, CancelToken, CircuitResult, CircuitStep, EulerConfig,
         EulerPipeline, EulerService, ExecutionBackend, FragmentStoreStats, GraphInfo,
-        InProcessBackend, LevelPartitionReport, MergeStrategy, Parallelism, PartitionerKind,
+        InProcessBackend, LevelPartitionReport, MergeStrategy, PartitionerKind,
         PipelineRun, RunEvent, RunOptions, RunOutcome, RunReport, ServiceClient, ServiceConfig,
         ServiceError, ServiceHandle, ServiceStats, SpillConfig, WStreamStats,
     };

@@ -58,6 +58,66 @@ fn run_pipeline(
     run_with_backend(g, assignment, config, &InProcessBackend::new()).unwrap()
 }
 
+/// The backend-equivalence check of
+/// `pipeline_backends_produce_identical_circuits` on one input.
+fn assert_backends_agree(g: &Graph, assignment: &PartitionAssignment) {
+    let config = EulerConfig::default().sequential();
+    let in_proc = EulerPipeline::builder()
+        .graph(g)
+        .assignment(assignment.clone())
+        .config(config.clone())
+        .backend(InProcessBackend::new())
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+    verify_result(g, &in_proc.circuit.result).unwrap();
+    let bsp = EulerPipeline::builder()
+        .graph(g)
+        .assignment(assignment.clone())
+        .config(config)
+        .backend(BspBackend::with_engine(BspConfig::with_workers(1)))
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+
+    // Identical circuits, edge for edge, and identical fragment accounting.
+    assert_eq!(&in_proc.circuit.result.circuits, &bsp.circuit.result.circuits);
+    assert_eq!(in_proc.circuit.fragment_disk_longs, bsp.circuit.fragment_disk_longs);
+    assert_eq!(in_proc.merge.total_transfer_longs, bsp.merge.total_transfer_longs);
+    assert_eq!(in_proc.merge.supersteps, bsp.merge.supersteps);
+
+    // The unified per-level records agree on every measurement-free field.
+    assert_eq!(in_proc.merge.per_partition.len(), bsp.merge.per_partition.len());
+    for (a, b) in in_proc.merge.per_partition.iter().zip(&bsp.merge.per_partition) {
+        assert_eq!(a.level, b.level);
+        assert_eq!(a.partition, b.partition);
+        assert_eq!(a.counts, b.counts);
+        assert_eq!(a.complexity, b.complexity);
+        assert_eq!(a.memory_longs, b.memory_longs);
+        assert_eq!(a.remote_needed_now, b.remote_needed_now);
+        assert_eq!(a.transfer_in_longs, b.transfer_in_longs);
+        assert_eq!(a.paths_found, b.paths_found);
+        assert_eq!(a.cycles_found, b.cycles_found);
+        assert_eq!(a.internal_cycles_merged, b.internal_cycles_merged);
+    }
+
+    // Transfer accounting is order-independent: the default engine (one
+    // worker per partition, parallel workers) must ship the same number of
+    // Longs even though fragment ids may differ.
+    let parallel_bsp = EulerPipeline::builder()
+        .graph(g)
+        .assignment(assignment.clone())
+        .backend(BspBackend::new())
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(parallel_bsp.merge.total_transfer_longs, in_proc.merge.total_transfer_longs);
+    assert!(verify_result(g, &parallel_bsp.circuit.result).is_ok());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -131,70 +191,31 @@ proptest! {
     /// engine pin the partition execution order (ascending id on both), so
     /// fragment ids — and therefore the unrolled circuits — match exactly;
     /// the transfer accounting is order-independent and must also match the
-    /// default parallel engine.
+    /// default parallel engine. Two inputs per case: a connected Eulerian
+    /// graph under LDG, and an Eulerized random multigraph (parallel edges
+    /// and self-loops) under Hash or LDG.
     #[test]
     fn pipeline_backends_produce_identical_circuits(
         seed in 0u64..500,
         n in 8u64..90,
         extra in 0usize..10,
         parts in 1u32..7,
+        multi_edges in prop::collection::vec((0u64..36, 0u64..36), 1..140),
+        use_hash in any::<bool>(),
     ) {
         let g = graph_from(seed, n, extra);
         let assignment = LdgPartitioner::new(parts).partition(&g);
-        let config = EulerConfig::default().sequential();
+        assert_backends_agree(&g, &assignment);
 
-        let in_proc = EulerPipeline::builder()
-            .graph(&g)
-            .assignment(assignment.clone())
-            .config(config.clone())
-            .backend(InProcessBackend::new())
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-        let bsp = EulerPipeline::builder()
-            .graph(&g)
-            .assignment(assignment.clone())
-            .config(config)
-            .backend(BspBackend::with_engine(BspConfig::with_workers(1)))
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-
-        // Identical circuits, edge for edge.
-        prop_assert_eq!(&in_proc.circuit.result.circuits, &bsp.circuit.result.circuits);
-        prop_assert_eq!(in_proc.merge.total_transfer_longs, bsp.merge.total_transfer_longs);
-        prop_assert_eq!(in_proc.merge.supersteps, bsp.merge.supersteps);
-
-        // The unified per-level records agree on every measurement-free field.
-        prop_assert_eq!(in_proc.merge.per_partition.len(), bsp.merge.per_partition.len());
-        for (a, b) in in_proc.merge.per_partition.iter().zip(&bsp.merge.per_partition) {
-            prop_assert_eq!(a.level, b.level);
-            prop_assert_eq!(a.partition, b.partition);
-            prop_assert_eq!(a.counts, b.counts);
-            prop_assert_eq!(a.complexity, b.complexity);
-            prop_assert_eq!(a.memory_longs, b.memory_longs);
-            prop_assert_eq!(a.remote_needed_now, b.remote_needed_now);
-            prop_assert_eq!(a.transfer_in_longs, b.transfer_in_longs);
-            prop_assert_eq!(a.paths_found, b.paths_found);
-            prop_assert_eq!(a.cycles_found, b.cycles_found);
-            prop_assert_eq!(a.internal_cycles_merged, b.internal_cycles_merged);
-        }
-
-        // Transfer accounting is order-independent: the default engine
-        // (one worker per partition, parallel workers) must ship the same
-        // number of Longs even though fragment ids may differ.
-        let parallel_bsp = EulerPipeline::builder()
-            .graph(&g)
-            .assignment(assignment)
-            .backend(BspBackend::new())
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-        prop_assert_eq!(parallel_bsp.merge.total_transfer_longs, in_proc.merge.total_transfer_longs);
-        prop_assert!(verify_result(&g, &parallel_bsp.circuit.result).is_ok());
+        let mut b = GraphBuilder::with_vertices(36);
+        b.extend_edges(multi_edges.iter().copied());
+        let (g, _) = eulerize(&b.build().unwrap());
+        let assignment = if use_hash {
+            HashPartitioner::new(parts).partition(&g)
+        } else {
+            LdgPartitioner::new(parts).partition(&g)
+        };
+        assert_backends_agree(&g, &assignment);
     }
 
     /// Determinism regression for the dense Phase-1 rewrite: on every
@@ -252,8 +273,7 @@ proptest! {
     /// merging into one pending fragment, parallel edges included) the
     /// splice-order index must reproduce the reference's first-occurrence
     /// rotation semantics bit for bit — fragments, path maps, splice
-    /// counters — and the wave walker must match the sequential kernel at
-    /// every thread count. The full pipeline must still solve the graph.
+    /// counters. The full pipeline must still solve the graph.
     #[test]
     fn phase1_dense_matches_reference_on_hub_multigraphs(
         k in 3u64..24,
@@ -261,8 +281,8 @@ proptest! {
         digons in prop::collection::vec(0u8..3, 0..12),
         parts in 1u32..5,
     ) {
-        use euler_circuit::algo::phase1::{reference::run_phase1_reference, run_phase1, run_phase1_parallel};
-        use euler_circuit::algo::{FragmentStore, Phase1Arena, WorkingPartition};
+        use euler_circuit::algo::phase1::{reference::run_phase1_reference, run_phase1};
+        use euler_circuit::algo::{FragmentStore, WorkingPartition};
         let g = hub_multigraph(k, &petals, &digons);
         prop_assert!(is_eulerian(&g).is_ok());
         let assignment = LdgPartitioner::new(parts).partition(&g);
@@ -286,25 +306,6 @@ proptest! {
                     }
                 })
             });
-            // The wave walker shares the splice-order commit path: every
-            // thread count must stay bit-identical to sequential.
-            for threads in [1usize, 2, 4] {
-                let mut wp_par = WorkingPartition::from_partition(p);
-                let store_par = FragmentStore::new();
-                let mut arena = Phase1Arena::new();
-                let out_par = run_phase1_parallel(&mut wp_par, &store_par, &mut arena, threads);
-                prop_assert_eq!(&out_par.path_map, &out_dense.path_map);
-                prop_assert_eq!(out_par.splice, out_dense.splice);
-                prop_assert_eq!(&wp_par.local_edges, &wp_dense.local_edges);
-                store_par.with_all(|frags_par| {
-                    store_dense.with_all(|frags_dense| {
-                        assert_eq!(frags_par.len(), frags_dense.len());
-                        for (a, b) in frags_par.iter().zip(frags_dense) {
-                            assert_eq!(&a.edges, &b.edges, "{threads} threads diverged");
-                        }
-                    })
-                });
-            }
         }
         // End to end: the hub storm still unrolls into one valid circuit.
         let (result, _) = run_pipeline(&g, &assignment, &EulerConfig::default());

@@ -61,8 +61,8 @@ fn reference(path: &std::path::Path, opts: RunOptions) -> CircuitResult {
             merge_strategy: opts.strategy,
             fragment_memory_budget: Some(ServiceConfig::default().fragment_budget_longs),
             ..EulerConfig::default()
-        })
-        .backend(InProcessBackend::new().with_parallelism(Parallelism::IntraPartition));
+        }
+        .sequential());
     let builder = match opts.partitioner {
         PartitionerKind::Hash => builder.partitioner(HashPartitioner::new(opts.partitions)),
         PartitionerKind::Ldg => builder.partitioner(LdgPartitioner::new(opts.partitions)),
