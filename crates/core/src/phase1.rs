@@ -52,7 +52,8 @@
 //! The function is deterministic: traversal starts are chosen in ascending
 //! vertex order and edges are consumed in insertion order. Concurrency is
 //! partition-centric, as in the paper: the backends run whole partitions
-//! concurrently, each on this sequential kernel.
+//! concurrently, each on this sequential kernel ([`parallel::fan_out`] in
+//! process).
 
 pub mod arena;
 pub mod reference;
@@ -403,6 +404,176 @@ pub fn run_phase1_with_arena(
     Phase1Output { path_map, counts_before, complexity, splice: splice_stats }
 }
 
+/// Per-partition fan-out — the one Phase-1 parallelism, as in the paper:
+/// the partitions of a merge level run concurrently, each through the
+/// sequential kernel over an arena from a shared [`ArenaPool`].
+pub mod parallel {
+    use crate::state::WorkingPartition;
+    use rayon::prelude::*;
+
+    /// Runs `f` on every partition of `parts` and returns the results in
+    /// slice order. With `concurrent` the partitions fan out on rayon
+    /// threads; without, they run one at a time in slice order, so their
+    /// fragment-store appends — and hence the fragment ids — are
+    /// deterministic.
+    pub fn fan_out<R, F>(parts: &mut [WorkingPartition], concurrent: bool, f: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(&mut WorkingPartition) -> R + Sync,
+    {
+        if concurrent {
+            parts.par_iter_mut().map(f).collect()
+        } else {
+            parts.iter_mut().map(f).collect()
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::super::tests::wp_from_edges;
+        use super::super::{run_phase1, ArenaPool, Phase1Output};
+        use super::*;
+        use crate::fragment::{Fragment, FragmentStore};
+        use euler_gen::synthetic;
+        use euler_graph::{PartitionAssignment, PartitionedGraph};
+
+        /// One partition's Phase 1 over a pool arena, against a store of
+        /// its own: the output and the stored fragments.
+        fn run_alone(pool: &ArenaPool, wp: &mut WorkingPartition) -> (Phase1Output, Vec<Fragment>) {
+            let store = FragmentStore::new();
+            let out = pool.run_phase1(wp, &store);
+            (out, store.snapshot())
+        }
+
+        /// Fans 2, 3 and 8 copies of `wp` out over one shared arena pool —
+        /// concurrently, then one at a time on the now warm pool — and
+        /// asserts every copy is bit-identical to a fresh-arena sequential
+        /// run: output, residual state and stored fragments.
+        fn assert_parallel_matches_sequential(wp: &WorkingPartition) {
+            let mut wp_seq = wp.clone();
+            let store_seq = FragmentStore::new();
+            let out_seq = run_phase1(&mut wp_seq, &store_seq);
+            let frags_seq = store_seq.snapshot();
+            for copies in [2usize, 3, 8] {
+                let pool = ArenaPool::new();
+                for concurrent in [true, false] {
+                    let at = format!("{copies} copies, concurrent: {concurrent}");
+                    let mut parts = vec![wp.clone(); copies];
+                    let outs = fan_out(&mut parts, concurrent, |wp| run_alone(&pool, wp));
+                    assert_eq!(outs.len(), copies);
+                    for ((out, frags), wp_par) in outs.iter().zip(&parts) {
+                        assert_eq!(out.path_map, out_seq.path_map, "{at}");
+                        assert_eq!(out.counts_before, out_seq.counts_before);
+                        assert_eq!(out.complexity, out_seq.complexity);
+                        assert_eq!(out.splice, out_seq.splice);
+                        assert_eq!(wp_par.local_edges, wp_seq.local_edges);
+                        assert_eq!(wp_par.remote_edges, wp_seq.remote_edges);
+                        assert_eq!(frags.len(), frags_seq.len());
+                        for (p, s) in frags.iter().zip(&frags_seq) {
+                            assert_eq!(p.id, s.id);
+                            assert_eq!(p.kind, s.kind);
+                            assert_eq!(p.edges, s.edges, "fragment {:?} at {at}", p.id);
+                        }
+                    }
+                    // At most one arena per copy was in flight, and every
+                    // one of them came back.
+                    assert!((1..=copies).contains(&pool.idle()), "{} idle arenas at {at}", pool.idle());
+                }
+            }
+        }
+
+        #[test]
+        fn empty_partition() {
+            // No local edges at all (remote-only partition).
+            assert_parallel_matches_sequential(&wp_from_edges(&[], &[0, 0]));
+        }
+
+        #[test]
+        fn single_vertex_self_loop() {
+            assert_parallel_matches_sequential(&wp_from_edges(&[(0, 0)], &[]));
+        }
+
+        #[test]
+        fn one_giant_cycle_with_no_odd_vertices() {
+            // A whole torus as one partition: step 3 only, and the first
+            // walk consumes every edge.
+            let g = synthetic::torus_grid(6, 6);
+            let a = PartitionAssignment::from_labels(vec![0; 36], 1).unwrap();
+            let pg = PartitionedGraph::from_assignment(&g, &a).unwrap();
+            assert_parallel_matches_sequential(&WorkingPartition::from_partition(&pg.partitions()[0]));
+        }
+
+        #[test]
+        fn more_start_vertices_than_workers() {
+            // 20 odd boundary vertices, each with one local edge into an
+            // interior ring, fanned out as up to 8 copies — more partitions
+            // than rayon threads on a small host.
+            let mut local = Vec::new();
+            for i in 0..20u64 {
+                local.push((i, 100 + i));
+                local.push((100 + i, 100 + ((i + 1) % 20)));
+            }
+            let remote: Vec<u64> = (0..20).collect();
+            assert_parallel_matches_sequential(&wp_from_edges(&local, &remote));
+        }
+
+        #[test]
+        fn self_loops_and_multi_edges_in_parallel() {
+            let wp = wp_from_edges(&[(0, 0), (0, 1), (1, 2), (2, 0), (0, 1), (1, 0), (2, 2)], &[]);
+            assert_parallel_matches_sequential(&wp);
+        }
+
+        #[test]
+        fn executor_runs_share_the_arena_pool() {
+            // A level's partitions through one pool and one shared store.
+            // One at a time, the fan-out is a plain loop of `run_phase1` —
+            // the same fragment ids — and the pool hands one arena around.
+            let g = synthetic::random_eulerian_connected(90, 10, 5, 17);
+            let labels: Vec<u32> = (0..90).map(|i| (i % 4) as u32).collect();
+            let a = PartitionAssignment::from_labels(labels, 4).unwrap();
+            let pg = PartitionedGraph::from_assignment(&g, &a).unwrap();
+            let level: Vec<WorkingPartition> =
+                pg.partitions().iter().map(WorkingPartition::from_partition).collect();
+
+            let store_seq = FragmentStore::new();
+            let mut parts_seq = level.clone();
+            let outs_seq: Vec<Phase1Output> =
+                parts_seq.iter_mut().map(|wp| run_phase1(wp, &store_seq)).collect();
+            let frags_seq = store_seq.snapshot();
+
+            let pool = ArenaPool::new();
+            let store = FragmentStore::new();
+            let mut parts = level.clone();
+            let outs = fan_out(&mut parts, false, |wp| pool.run_phase1(wp, &store));
+            assert_eq!(pool.idle(), 1, "one arena served the whole level");
+            for (out, out_seq) in outs.iter().zip(&outs_seq) {
+                assert_eq!(out.path_map, out_seq.path_map);
+            }
+            for (wp, wp_seq) in parts.iter().zip(&parts_seq) {
+                assert_eq!(wp.local_edges, wp_seq.local_edges);
+                assert_eq!(wp.remote_edges, wp_seq.remote_edges);
+            }
+            let frags = store.snapshot();
+            assert_eq!(frags.len(), frags_seq.len());
+            for (p, s) in frags.iter().zip(&frags_seq) {
+                assert_eq!((p.id, &p.edges), (s.id, &s.edges));
+            }
+
+            // Concurrently, every local edge still lands in one fragment of
+            // the shared store, and the arenas the threads drew all return.
+            let store = FragmentStore::new();
+            let mut parts = level;
+            let outs = fan_out(&mut parts, true, |wp| pool.run_phase1(wp, &store));
+            let consumed = |outs: &[Phase1Output]| -> u64 {
+                outs.iter().map(|o| o.path_map.local_edges_consumed).sum()
+            };
+            assert_eq!(consumed(&outs), consumed(&outs_seq));
+            assert_eq!(store.snapshot().len(), frags_seq.len());
+            assert!((1..=parts.len()).contains(&pool.idle()));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::reference::run_phase1_reference;
@@ -692,7 +863,7 @@ mod tests {
 
     /// A partition with the given local edges and one remote edge at each
     /// vertex of `remote_at`.
-    fn wp_from_edges(local: &[(u64, u64)], remote_at: &[u64]) -> WorkingPartition {
+    pub(super) fn wp_from_edges(local: &[(u64, u64)], remote_at: &[u64]) -> WorkingPartition {
         WorkingPartition {
             id: PartitionId(0),
             leaves: vec![PartitionId(0)],

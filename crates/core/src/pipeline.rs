@@ -41,6 +41,7 @@ use crate::memory_model::{LevelTrace, PartitionLevelState};
 use crate::merge_strategy::MergeStrategy;
 use crate::merge_tree::{MergePair, MergeTree};
 use crate::phase1::wstream::{stream_phase1, WStreamStats};
+use crate::phase1::parallel::fan_out;
 use crate::phase1::{ArenaPool, Phase1Output};
 use crate::phase2::{apply_remote_edge_dedup, merge_partitions, remote_edge_needed_level};
 use crate::phase3::{unroll, CircuitResult};
@@ -52,7 +53,6 @@ use euler_graph::{
 };
 use euler_partition::Partitioner;
 use parking_lot::Mutex;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -395,12 +395,7 @@ impl ExecutionBackend for InProcessBackend {
             let out = pool.run_phase1(wp, store);
             (wp.id, memory, needed_now, out, t0.elapsed())
         };
-        let outputs: Vec<(PartitionId, u64, u64, Phase1Output, Duration)> =
-            if work.config.parallel_within_level {
-                st.states.par_iter_mut().map(run_one).collect()
-            } else {
-                st.states.iter_mut().map(run_one).collect()
-            };
+        let outputs = fan_out(&mut st.states, work.config.parallel_within_level, run_one);
         let mut reports = Vec::with_capacity(outputs.len());
         for (pid, memory, needed_now, out, elapsed) in outputs {
             let (merge_time, transfer_in) = st.pending.remove(&pid).unwrap_or_default();
@@ -1858,6 +1853,38 @@ mod tests {
             assert_same_run(&bsp, &reference);
             assert_eq!(bsp.merge.merge_tree, reference.merge.merge_tree);
             assert!(bsp.merge.engine.is_some());
+        }
+    }
+
+    #[test]
+    fn intra_partition_modes_match_the_sequential_run_bit_for_bit() {
+        // Inside a partition Phase 1 is always the sequential kernel over a
+        // pooled arena. With the partition order pinned (`.sequential()` in
+        // process, one engine worker under BSP), every way of running it —
+        // fresh or warm arena pool, in-memory or wire-encoded engine states
+        // — must equal a fresh sequential run: circuits, per-level records,
+        // transfers.
+        let g = synthetic::random_eulerian_connected(140, 18, 6, 77);
+        let a = LdgPartitioner::new(4).partition(&g);
+        let config = EulerConfig::default().sequential();
+        let pipeline = |backend: Box<dyn ExecutionBackend>| {
+            let mut b = EulerPipeline::builder().graph(&g).assignment(a.clone()).config(config.clone());
+            b.backend = Some(backend);
+            b.build().unwrap()
+        };
+        let in_proc = pipeline(Box::new(InProcessBackend::new()));
+        let sequential = in_proc.run().unwrap();
+        verify_result(&g, &sequential.circuit.result).unwrap();
+        // The second run draws every arena from the pool the first one grew.
+        assert_same_run(&in_proc.run().unwrap(), &sequential);
+        let one_worker = || BspBackend::with_engine(euler_bsp::BspConfig::with_workers(1));
+        for bsp in [
+            pipeline(Box::new(one_worker())),
+            pipeline(Box::new(one_worker().with_transport(Arc::new(euler_bsp::MemTransport)))),
+        ] {
+            for _ in 0..2 {
+                assert_same_run(&bsp.run().unwrap(), &sequential);
+            }
         }
     }
 

@@ -1,27 +1,26 @@
-//! Differential harness for the parallel Phase-1 walker: on random
-//! Eulerized multigraphs, intra-partition parallel execution — any thread
-//! count, either backend — must be **bit-identical** to the sequential
-//! path: same circuits edge for edge, same per-level `RunReport` records,
-//! same transfer accounting.
+//! Differential harness for Phase-1 parallelism: partitions of a merge level
+//! fan out across threads — rayon threads in process, engine workers under
+//! BSP — and each runs the sequential kernel. The thread count may change
+//! wall-clock and the order in which partitions append to the fragment
+//! store, never what is computed: on random Eulerian graphs every run must
+//! produce valid circuits over the same edges, the same per-level
+//! `RunReport` records, the same transfer accounting and the same fragment
+//! Longs as the sequential oracle.
 //!
-//! This is the load-bearing invariant of the wave-speculation design (see
-//! `euler_core::phase1::parallel`): parallelism may only change wall-clock,
-//! never output. The sequential oracle is a `.sequential()` in-process run;
-//! the BSP side runs on a single engine worker (the configuration whose
-//! fragment-store append order is pinned, as in the PR-2 backend
-//! equivalence proptest) with the wave walker enabled through the worker
-//! loop's thread budget.
+//! The oracle is a `.sequential()` in-process run. A single engine worker
+//! pins the partition execution order exactly as the oracle does, so there
+//! the circuits must also be bit-identical.
 
 use euler_circuit::algo::verify::verify_result;
 use euler_circuit::bsp::BspConfig;
 use euler_circuit::prelude::*;
 use proptest::prelude::*;
 
-/// Thread counts the differential grid exercises.
-const THREADS: [usize; 3] = [1, 2, 8];
+/// BSP engine worker counts the differential grid exercises.
+const WORKERS: [usize; 3] = [1, 2, 4];
 
 /// The measurement-free projection of one per-level record (timings vary
-/// run to run; everything else must be bit-stable).
+/// run to run; everything else must be stable across thread counts).
 #[derive(Debug, PartialEq)]
 struct RecordFacts {
     level: u32,
@@ -55,8 +54,19 @@ fn facts(run: &PipelineRun) -> Vec<RecordFacts> {
         .collect()
 }
 
-/// Runs the sequential oracle, then the full (backend × thread-count) grid
-/// of intra-partition parallel runs, asserting each equals the oracle.
+fn run(g: &Graph, assignment: &PartitionAssignment, backend: impl ExecutionBackend + 'static) -> PipelineRun {
+    EulerPipeline::builder()
+        .graph(g)
+        .assignment(assignment.clone())
+        .backend(backend)
+        .build()
+        .unwrap()
+        .run()
+        .unwrap()
+}
+
+/// Runs the sequential oracle, then the parallel in-process fan-out and the
+/// BSP engine at every worker count, asserting each agrees with the oracle.
 fn assert_grid_matches_sequential(g: &Graph, assignment: &PartitionAssignment) {
     let sequential = EulerPipeline::builder()
         .graph(g)
@@ -69,51 +79,33 @@ fn assert_grid_matches_sequential(g: &Graph, assignment: &PartitionAssignment) {
     verify_result(g, &sequential.circuit.result).unwrap();
     let oracle_facts = facts(&sequential);
 
-    for threads in THREADS {
-        let in_proc = EulerPipeline::builder()
-            .graph(g)
-            .assignment(assignment.clone())
-            .backend(
-                InProcessBackend::new()
-                    .with_parallelism(Parallelism::IntraPartition)
-                    .with_threads(threads),
-            )
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-        let bsp = EulerPipeline::builder()
-            .graph(g)
-            .assignment(assignment.clone())
-            .backend(
-                BspBackend::with_engine(BspConfig::with_workers(1).with_worker_threads(threads))
-                    .with_parallelism(Parallelism::IntraPartition),
-            )
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-
-        for (name, run) in [("in-process", &in_proc), ("bsp", &bsp)] {
+    let mut grid = vec![("in-process fan-out".to_string(), run(g, assignment, InProcessBackend::new()))];
+    for workers in WORKERS {
+        let bsp = run(g, assignment, BspBackend::with_engine(BspConfig::with_workers(workers)));
+        if workers == 1 {
             assert_eq!(
-                run.circuit.result.circuits, sequential.circuit.result.circuits,
-                "{name} circuits diverged at {threads} threads"
-            );
-            assert_eq!(
-                run.merge.total_transfer_longs, sequential.merge.total_transfer_longs,
-                "{name} transfer longs diverged at {threads} threads"
-            );
-            assert_eq!(run.merge.supersteps, sequential.merge.supersteps);
-            assert_eq!(
-                facts(run),
-                oracle_facts,
-                "{name} per-level records diverged at {threads} threads"
-            );
-            assert_eq!(
-                run.circuit.fragment_disk_longs, sequential.circuit.fragment_disk_longs,
-                "{name} fragment accounting diverged at {threads} threads"
+                bsp.circuit.result.circuits, sequential.circuit.result.circuits,
+                "a 1-worker engine must reproduce the sequential circuits bit for bit"
             );
         }
+        grid.push((format!("bsp with {workers} workers"), bsp));
+    }
+
+    for (name, run) in &grid {
+        verify_result(g, &run.circuit.result).unwrap();
+        let (result, oracle) = (&run.circuit.result, &sequential.circuit.result);
+        assert_eq!(result.num_circuits(), oracle.num_circuits(), "{name}");
+        assert_eq!(result.total_edges(), oracle.total_edges(), "{name}");
+        assert_eq!(
+            run.merge.total_transfer_longs, sequential.merge.total_transfer_longs,
+            "{name} transfer longs diverged"
+        );
+        assert_eq!(run.merge.supersteps, sequential.merge.supersteps, "{name}");
+        assert_eq!(facts(run), oracle_facts, "{name} per-level records diverged");
+        assert_eq!(
+            run.circuit.fragment_disk_longs, sequential.circuit.fragment_disk_longs,
+            "{name} fragment accounting diverged"
+        );
     }
 }
 
